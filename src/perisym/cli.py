@@ -21,7 +21,7 @@ from .laurent import LaurentPoly
 from .lift import certify, lift_window
 from .schur import schur_poly
 from .thinkac import sch_thin_kac, theta_prime
-from .verify import run_all
+from .verify import ALL_CRITERIA, run_all
 
 
 def _parse_weight(text: str, allow_symbol: str | None = None,
@@ -195,7 +195,15 @@ def verify_suite(ctx, criteria):
     """Run the acceptance battery; nonzero exit on any failure."""
     numbers = None
     if criteria:
-        numbers = [int(tok) for tok in criteria.split(",")]
+        try:
+            numbers = [int(tok) for tok in criteria.split(",")]
+        except ValueError:
+            raise click.UsageError(f"bad --criteria {criteria!r}: expected "
+                                   "comma-separated criterion numbers")
+        unknown = sorted(set(numbers) - set(range(1, len(ALL_CRITERIA) + 1)))
+        if unknown:
+            raise click.UsageError(f"unknown criterion numbers {unknown}; "
+                                   f"expected 1..{len(ALL_CRITERIA)}")
     results = run_all(report=click.echo, numbers=numbers)
     failed = [r for r in results if not r.passed]
     click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")

@@ -15,7 +15,7 @@ from typing import Literal
 
 from .errors import ArityMismatch, NotInKernel, NotMember, NotSymmetric
 from .laurent import LaurentPoly
-from .schur import SchurExpansion, denominators, schur_expand
+from .schur import SchurExpansion, denominator_factors, schur_expand
 from .weights import parity
 
 
@@ -82,9 +82,11 @@ def kernel_decompose(f: LaurentPoly) -> SchurExpansion:
     """Coordinates of a kernel element over thin-Kac supercharacters.
 
     Requires f in J_n with vanishing evaluation; then f is exactly
-    divisible by prod_{i<j}(1 - x_i x_j) and the quotient's Schur
+    divisible by R = prod_{i<j}(1 - x_i x_j) and the quotient's Schur
     coefficients, parity-signed, satisfy
-    ``f = sum_lam c_lam * sch_thin_kac(lam)``.
+    ``f = sum_lam c_lam * sch_thin_kac(lam)``.  The quotient is taken
+    one binomial factor of R at a time, each in time linear in the
+    terms.
     """
     n = f.arity
     if n < 2:
@@ -96,7 +98,9 @@ def kernel_decompose(f: LaurentPoly) -> SchurExpansion:
         raise NotMember("polynomial is not supersymmetric", witness=report.witness)
     if not ds_eval(f).is_zero():
         raise NotInKernel("the evaluation image is nonzero")
-    quotient = f.exact_divide(denominators(n)[0])
+    quotient = f
+    for factor in denominator_factors(n)[0]:
+        quotient = quotient.exact_divide(factor)
     schur_coeffs = schur_expand(quotient)
     signed = {
         lam: (-coef if parity(lam) else coef)

@@ -37,8 +37,13 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _axpy(dst: dict, src: dict, q: int) -> tuple[list, list]:
-    """dst += q * src; returns (keys added, keys removed)."""
+    """dst += q * src; returns (keys added, keys removed).
+
+    Stores no zero entries: ``q == 0`` leaves dst as it is.
+    """
     added, removed = [], []
+    if not q:
+        return added, removed
     for key, val in src.items():
         cur = dst.get(key)
         if cur is None:

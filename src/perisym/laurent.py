@@ -15,6 +15,7 @@ arguments, so instances may be shared freely (including across threads).
 
 from __future__ import annotations
 
+import functools
 import heapq
 import itertools
 from typing import Iterable, Iterator, Mapping
@@ -289,55 +290,21 @@ class LaurentPoly:
     def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
         """Return ``q`` with ``self == q * divisor``, exactly.
 
-        Negative exponents are cleared by a monomial shift on both
-        operands, after which ordinary sparse division by leading terms
-        runs; any nonzero remainder (or non-integral coefficient) raises
-        :class:`NotDivisible`.
+        A two-term divisor, such as a factor ``x_i - x_j`` of the
+        Vandermonde or ``1 - x_i x_j`` of R, is divided line by line in
+        time linear in the terms (:func:`_divide_by_binomial`).  Any other
+        divisor goes through sparse division by leading terms
+        (:func:`_divide_by_heap`).  Either way a nonzero remainder or a
+        non-integral coefficient raises :class:`NotDivisible`.
         """
         self._check_arity(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.arity)
-        n = self.arity
-        fmin = [min(e[k] for e in self.terms) for k in range(n)]
-        gmin = [min(e[k] for e in divisor.terms) for k in range(n)]
-        rem = {tuple(e[k] - fmin[k] for k in range(n)): c for e, c in self.terms.items()}
-        g = {tuple(e[k] - gmin[k] for k in range(n)): c for e, c in divisor.terms.items()}
-        g_lead = max(g, key=grlex_key)
-        g_lc = g[g_lead]
-        g_rest = [(e, c) for e, c in g.items() if e != g_lead]
-
-        quot: dict[tuple[int, ...], int] = {}
-        heap = [_neg_key(e) for e in rem]
-        heapq.heapify(heap)
-        while rem:
-            while heap:
-                lead = heap[0][2]
-                if lead in rem:
-                    break
-                heapq.heappop(heap)
-            coef = rem.pop(lead)
-            q_exps = tuple(map(int.__sub__, lead, g_lead))
-            if any(e < 0 for e in q_exps):
-                raise NotDivisible("leading monomial not divisible")
-            q_coef, r = divmod(coef, g_lc)
-            if r:
-                raise NotDivisible("leading coefficient not divisible")
-            quot[q_exps] = q_coef
-            for ge, gc in g_rest:
-                e = tuple(map(int.__add__, q_exps, ge))
-                new = rem.get(e, 0) - q_coef * gc
-                if new:
-                    if e not in rem:
-                        heapq.heappush(heap, _neg_key(e))
-                    rem[e] = new
-                else:
-                    rem.pop(e, None)
-        shift = tuple(fmin[k] - gmin[k] for k in range(n))
-        if any(shift):
-            quot = {tuple(map(int.__add__, e, shift)): c for e, c in quot.items()}
-        return LaurentPoly._raw(n, quot)
+        if len(divisor.terms) == 2:
+            return _divide_by_binomial(self, divisor)
+        return _divide_by_heap(self, divisor)
 
     # -- display -----------------------------------------------------------
 
@@ -362,6 +329,124 @@ class LaurentPoly:
 
     def __repr__(self) -> str:
         return f"LaurentPoly({self.arity}, {dict(self.sorted_terms())!r})"
+
+
+def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
+    """Exact quotient of nonzero ``f`` by a nonzero divisor of any length.
+
+    Negative exponents are cleared by a monomial shift on both operands,
+    after which ordinary sparse division by leading terms runs, taking
+    the leading remainder term from a heap.
+    """
+    n = f.arity
+    fmin = [min(e[k] for e in f.terms) for k in range(n)]
+    gmin = [min(e[k] for e in divisor.terms) for k in range(n)]
+    rem = {tuple(e[k] - fmin[k] for k in range(n)): c for e, c in f.terms.items()}
+    g = {tuple(e[k] - gmin[k] for k in range(n)): c for e, c in divisor.terms.items()}
+    g_lead = max(g, key=grlex_key)
+    g_lc = g[g_lead]
+    g_rest = [(e, c) for e, c in g.items() if e != g_lead]
+
+    quot: dict[tuple[int, ...], int] = {}
+    heap = [_neg_key(e) for e in rem]
+    heapq.heapify(heap)
+    while rem:
+        while heap:
+            lead = heap[0][2]
+            if lead in rem:
+                break
+            heapq.heappop(heap)
+        coef = rem.pop(lead)
+        q_exps = tuple(map(int.__sub__, lead, g_lead))
+        if any(e < 0 for e in q_exps):
+            raise NotDivisible("leading monomial not divisible")
+        q_coef, r = divmod(coef, g_lc)
+        if r:
+            raise NotDivisible("leading coefficient not divisible")
+        quot[q_exps] = q_coef
+        for ge, gc in g_rest:
+            e = tuple(map(int.__add__, q_exps, ge))
+            new = rem.get(e, 0) - q_coef * gc
+            if new:
+                if e not in rem:
+                    heapq.heappush(heap, _neg_key(e))
+                rem[e] = new
+            else:
+                rem.pop(e, None)
+    shift = tuple(fmin[k] - gmin[k] for k in range(n))
+    if any(shift):
+        quot = {tuple(map(int.__add__, e, shift)): c for e, c in quot.items()}
+    return LaurentPoly._raw(n, quot)
+
+
+def _divide_by_binomial(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """Exact quotient of nonzero ``f`` by ``g = c1 x^u + c2 x^v``.
+
+    With ``d = u - v``, the terms of ``q * g`` that a term of q touches
+    lie on one line ``key + Z d``, so the division splits into
+    independent lines.  Writing ``F_k`` for f's coefficient at
+    ``key + k d`` and ``Q_k`` for q's at ``key + k d - u``,
+    ``F_k = c1 Q_k + c2 Q_{k+1}``: sweeping a line downward from its top
+    term solves for ``Q_k`` one step at a time, through the gaps between
+    f's terms, and the carry past the line's lowest term must vanish.
+    For ``x_i - x_j`` and ``1 - x_i x_j`` the sweep is a running sum.
+    """
+    (u, c1), (v, c2) = g.terms.items()
+    d = [a - b for a, b in zip(u, v)]
+    p = next(k for k, a in enumerate(d) if a)
+    if d[p] < 0:
+        u, c1, c2 = v, c2, c1
+        d = [-a for a in d]
+    step = d[p]
+    # Exponents change only where d (or u) is nonzero: two coordinates
+    # for the library's binomials, so only those are touched.
+    d_moved = [(k, a) for k, a in enumerate(d) if a]
+    u_moved = [(k, a) for k, a in enumerate(u) if a]
+
+    # Lines keyed by their point with 0 <= key[p] < step.
+    lines: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
+    for e, c in f.terms.items():
+        k = e[p] // step
+        if k:
+            key = list(e)
+            for idx, a in d_moved:
+                key[idx] -= k * a
+            key = tuple(key)
+        else:
+            key = e
+        line = lines.get(key)
+        if line is None:
+            lines[key] = [(k, e, c)]
+        else:
+            line.append((k, e, c))
+
+    quot: dict[tuple[int, ...], int] = {}
+    for line in lines.values():
+        line.sort(reverse=True)
+        carry = 0
+        for k, e, c in line:
+            if carry:
+                # f has no terms strictly between the previous position
+                # and k; the quotient runs on through them.
+                for _ in range(above - 1 - k):
+                    for idx, a in d_moved:
+                        q_exps[idx] -= a
+                    carry, r = divmod(-c2 * carry, c1)
+                    if r:
+                        raise NotDivisible("coefficient not divisible")
+                    quot[tuple(q_exps)] = carry
+            carry, r = divmod(c - c2 * carry, c1)
+            if r:
+                raise NotDivisible("coefficient not divisible")
+            if carry:
+                q_exps = list(e)
+                for idx, a in u_moved:
+                    q_exps[idx] -= a
+                quot[tuple(q_exps)] = carry
+            above = k
+        if carry:
+            raise NotDivisible("nonzero remainder at the end of a line")
+    return LaurentPoly._raw(f.arity, quot)
 
 
 class TSlice:
@@ -493,8 +578,12 @@ def straighten_alternant(nu: Iterable[int]) -> tuple[int, tuple[int, ...]] | Non
     return sign, lam
 
 
-def permutations_with_signs(n: int) -> list[tuple[tuple[int, ...], int]]:
-    """All permutations of 0..n-1 as index tuples, with their signatures."""
+@functools.cache
+def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
+    """All permutations of 0..n-1 as index tuples, with their signatures.
+
+    Computed once per n; the result is an immutable tuple.
+    """
     out = []
     for perm in itertools.permutations(range(n)):
         sign = 1
@@ -503,7 +592,7 @@ def permutations_with_signs(n: int) -> list[tuple[tuple[int, ...], int]]:
                 if perm[a] > perm[b]:
                     sign = -sign
         out.append((perm, sign))
-    return out
+    return tuple(out)
 
 
 def monomial_orbit_sum(arity: int, weight: Iterable[int]) -> LaurentPoly:

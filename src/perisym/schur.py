@@ -8,6 +8,7 @@ the alternant sum for ``lam + rho`` divided exactly by the Vandermonde.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
@@ -57,6 +58,23 @@ class SchurExpansion:
         return out
 
 
+@functools.cache
+def denominator_factors(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
+    """The binomial factors of the denominators in n variables: the
+    ``1 - x_i x_j`` of R and the ``x_i - x_j`` of V, for i < j in
+    lexicographic order."""
+    r_factors = []
+    v_factors = []
+    for i in range(n):
+        for j in range(i + 1, n):
+            pair = [0] * n
+            pair[i] = 1
+            pair[j] = 1
+            r_factors.append(LaurentPoly.one(n) - LaurentPoly.monomial(n, pair))
+            v_factors.append(LaurentPoly.variable(n, i + 1) - LaurentPoly.variable(n, j + 1))
+    return tuple(r_factors), tuple(v_factors)
+
+
 _denominator_cache: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
 
 
@@ -68,20 +86,13 @@ def denominators(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     empty product 1 when n <= 1.
     """
     if n not in _denominator_cache:
-        r = LaurentPoly.one(n)
-        v = LaurentPoly.one(n)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = [0] * n
-                pair[i] = 1
-                pair[j] = 1
-                r = r * (LaurentPoly.one(n) - LaurentPoly.monomial(n, pair))
-                xi = [0] * n
-                xi[i] = 1
-                xj = [0] * n
-                xj[j] = 1
-                v = v * (LaurentPoly.monomial(n, xi) - LaurentPoly.monomial(n, xj))
-        _denominator_cache[n] = (r, v)
+        products = []
+        for factors in denominator_factors(n):
+            out = LaurentPoly.one(n)
+            for factor in factors:
+                out = out * factor
+            products.append(out)
+        _denominator_cache[n] = tuple(products)
     return _denominator_cache[n]
 
 
@@ -123,14 +134,8 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
         mu = tuple(a - shift for a in lam)
         nu = tuple(mu[i] + (n - 1 - i) for i in range(n))
         result = alternant(nu)
-        for i in range(n):
-            for j in range(i + 1, n):
-                xi = [0] * n
-                xi[i] = 1
-                xj = [0] * n
-                xj[j] = 1
-                binom = LaurentPoly.monomial(n, xi) - LaurentPoly.monomial(n, xj)
-                result = result.exact_divide(binom)
+        for binom in denominator_factors(n)[1]:
+            result = result.exact_divide(binom)
         if shift:
             result = result * LaurentPoly.monomial(n, (shift,) * n)
     _schur_cache[lam] = result

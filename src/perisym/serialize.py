@@ -8,6 +8,7 @@ a canonical form: equal values always produce identical JSON.
 
 from __future__ import annotations
 
+import re
 from typing import Any
 
 from .laurent import LaurentPoly
@@ -26,16 +27,43 @@ def poly_to_dict(f: LaurentPoly) -> dict[str, Any]:
     }
 
 
+_DECIMAL = re.compile(r"[+-]?[0-9]+", re.ASCII)
+
+
+def _int(value: Any, what: str) -> int:
+    """A JSON integer or decimal string as an int; anything else, floats
+    and booleans included, raises ValueError rather than being rounded."""
+    if isinstance(value, int) and not isinstance(value, bool):
+        return value
+    if isinstance(value, str) and _DECIMAL.fullmatch(value):
+        return int(value)
+    raise ValueError(f"{what} must be an integer or a decimal string, got {value!r}")
+
+
+def _int_list(value: Any, what: str) -> tuple[int, ...]:
+    if not isinstance(value, list):
+        raise ValueError(f"{what} must be a list of integers, got {value!r}")
+    return tuple(_int(v, what) for v in value)
+
+
+def _entries(data: Any, what: str, keys: tuple[str, str]) -> list[dict]:
+    if not isinstance(data, list) or not all(
+            isinstance(item, dict) and all(k in item for k in keys) for item in data):
+        raise ValueError(f"{what} must be a list of objects with keys "
+                         f"{' and '.join(repr(k) for k in keys)}")
+    return data
+
+
 def poly_from_dict(data: Any) -> LaurentPoly:
     if not isinstance(data, dict) or "n" not in data or "terms" not in data:
         raise ValueError("polynomial JSON needs keys 'n' and 'terms'")
-    arity = int(data["n"])
+    arity = _int(data["n"], "'n'")
     terms: dict[tuple[int, ...], int] = {}
-    for item in data["terms"]:
-        exps = tuple(int(e) for e in item["exp"])
+    for item in _entries(data["terms"], "'terms'", ("exp", "coef")):
+        exps = _int_list(item["exp"], "'exp'")
         if exps in terms:
             raise ValueError(f"duplicate exponent vector {list(exps)}")
-        terms[exps] = int(item["coef"])
+        terms[exps] = _int(item["coef"], "'coef'")
     return LaurentPoly(arity, terms)
 
 
@@ -45,11 +73,11 @@ def _coeffs_to_list(items) -> list[dict[str, Any]]:
 
 def _coeffs_from_list(data) -> dict[tuple[int, ...], int]:
     coeffs: dict[tuple[int, ...], int] = {}
-    for item in data:
-        lam = tuple(int(a) for a in item["weight"])
+    for item in _entries(data, "'coeffs'", ("weight", "coef")):
+        lam = _int_list(item["weight"], "'weight'")
         if lam in coeffs:
             raise ValueError(f"duplicate weight {list(lam)}")
-        coeffs[lam] = int(item["coef"])
+        coeffs[lam] = _int(item["coef"], "'coef'")
     return coeffs
 
 
@@ -63,7 +91,7 @@ def schur_to_dict(expansion: SchurExpansion) -> dict[str, Any]:
 def schur_from_dict(data: Any) -> SchurExpansion:
     if not isinstance(data, dict) or "n" not in data or "coeffs" not in data:
         raise ValueError("Schur expansion JSON needs keys 'n' and 'coeffs'")
-    return SchurExpansion(int(data["n"]), _coeffs_from_list(data["coeffs"]))
+    return SchurExpansion(_int(data["n"], "'n'"), _coeffs_from_list(data["coeffs"]))
 
 
 def kclass_to_dict(cls: KClass) -> dict[str, Any]:
@@ -79,7 +107,7 @@ def kclass_from_dict(data: Any) -> KClass:
         raise ValueError("class JSON needs keys 'n' and 'coeffs'")
     if data.get("basis", "thinkac") != "thinkac":
         raise ValueError(f"unsupported basis {data.get('basis')!r}")
-    return KClass(int(data["n"]), _coeffs_from_list(data["coeffs"]))
+    return KClass(_int(data["n"], "'n'"), _coeffs_from_list(data["coeffs"]))
 
 
 def membership_to_dict(report: MembershipReport) -> dict[str, Any]:
@@ -120,9 +148,9 @@ def certificate_from_dict(data: Any) -> Certificate:
         kernel = item["kernel"]
         levels.append(
             CertificateLevel(
-                int(item["rank"]),
+                _int(item["rank"], "'rank'"),
                 poly_from_dict(item["lift"]),
-                SchurExpansion(int(kernel["n"]), _coeffs_from_list(kernel["coeffs"])),
+                SchurExpansion(_int(kernel["n"], "'n'"), _coeffs_from_list(kernel["coeffs"])),
             )
         )
     return Certificate(tuple(levels), poly_from_dict(data["bottom"]))

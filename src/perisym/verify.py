@@ -15,7 +15,7 @@ from typing import Callable, Iterable
 
 from .dsmap import ds_eval, ds_power, kernel_decompose, quotient_reduce
 from .euler import euler_characteristic
-from .laurent import LaurentPoly, monomial_orbit_sum
+from .laurent import LaurentPoly, _divide_by_heap, monomial_orbit_sum
 from .lift import certify, membership_window_basis
 from .schur import alternant, denominators
 from .thinkac import KClass, kclass_sch, sch_standard, sch_thin_kac, theta_prime
@@ -51,7 +51,11 @@ def _det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
 
 def schur_bialternant_oracle(lam: tuple[int, ...]) -> LaurentPoly:
     """Independent Schur computation: the n x n bead-power determinant
-    divided by the Vandermonde determinant, both expanded by cofactors."""
+    divided by the Vandermonde determinant, both expanded by cofactors.
+
+    The division is the general heap division even where the Vandermonde
+    is a single binomial (n = 2), so the oracle shares no code with the
+    binomial path that ``schur_poly`` takes."""
     n = len(lam)
     if n == 0:
         return LaurentPoly.one(0)
@@ -59,7 +63,7 @@ def schur_bialternant_oracle(lam: tuple[int, ...]) -> LaurentPoly:
     num = _det([[LaurentPoly.variable(n, i + 1, b) for b in beads] for i in range(n)])
     den = _det([[LaurentPoly.variable(n, i + 1, n - 1 - j) for j in range(n)]
                 for i in range(n)])
-    return num.exact_divide(den)
+    return _divide_by_heap(num, den)
 
 
 def _random_symmetric(n: int, rng: random.Random, bound: int = 2,

@@ -5,6 +5,7 @@ import pytest
 from perisym import (
     KClass,
     LaurentPoly,
+    ds_eval,
     ds_power,
     euler_characteristic,
     kernel_decompose,
@@ -174,3 +175,62 @@ class TestSerializationRoundtrips:
         f = lift_window(h)
         data = json.loads(json.dumps(serialize.poly_to_dict(f)))
         assert serialize.poly_from_dict(data) == f
+
+
+class TestInputBoundary:
+    """Malformed input exits 1 with a message and no traceback."""
+
+    def check_usage_error(self, capsys, *argv, message):
+        code = main(list(argv))
+        captured = capsys.readouterr()
+        assert code == 1
+        assert message in captured.err
+        assert "Traceback" not in captured.out + captured.err
+
+    @pytest.mark.parametrize("payload, message", [
+        ({"n": 2, "terms": [{"exp": [1, 0], "coef": 2.9},
+                            {"exp": [0, 1], "coef": "2"}]}, "'coef'"),
+        ({"n": 2, "terms": [{"exp": [1, 0], "coef": True}]}, "'coef'"),
+        ({"n": 2, "terms": [{"exp": [1.0, 0], "coef": "1"}]}, "'exp'"),
+        ({"n": 2.0, "terms": []}, "'n'"),
+        ({"n": False, "terms": []}, "'n'"),
+        ({"n": 2, "terms": [{"exp": [1, 0], "coef": "2.9"}]}, "'coef'"),
+        ({"n": 2, "terms": [{"coef": "1"}]}, "'terms'"),
+    ])
+    def test_member_rejects_non_integers(self, capsys, payload, message):
+        self.check_usage_error(capsys, "member", "-f", json.dumps(payload),
+                               message=message)
+
+    def test_theta_rejects_float_weight(self, capsys):
+        payload = {"n": 2, "basis": "thinkac",
+                   "coeffs": [{"weight": [0.5, 0], "coef": "1"}]}
+        self.check_usage_error(capsys, "theta", "--k", "0", "-f", json.dumps(payload),
+                               message="'weight'")
+
+    def test_integer_strings_still_accepted(self, capsys):
+        payload = {"n": "2", "terms": [{"exp": ["1", 0], "coef": "-3"},
+                                       {"exp": [0, "1"], "coef": -3}]}
+        code, data = run_json(capsys, "member", "-f", json.dumps(payload))
+        assert code == 0
+        assert data["symmetric"] is True
+
+    @pytest.mark.parametrize("criteria, message", [
+        ("x", "bad --criteria"),
+        ("1,,2", "bad --criteria"),
+        ("9", "unknown criterion numbers [9]"),
+        ("0,7", "unknown criterion numbers [0]"),
+    ])
+    def test_verify_suite_bad_criteria(self, capsys, criteria, message):
+        self.check_usage_error(capsys, "verify-suite", "--criteria", criteria,
+                               message=message)
+
+
+class TestLiftRegressions:
+    def test_lift_from_window_five_at_rank_four(self, capsys):
+        # A target whose lift search starts at Window(5): reducing by the
+        # kernel lattice used to divide by a stored zero entry.
+        h = LaurentPoly(2, {(1, 0): -1, (0, 1): -1, (0, -1): 1, (-1, 0): 1})
+        payload = json.dumps(serialize.poly_to_dict(h))
+        code, data = run_json(capsys, "lift", "--n", "4", "-h", payload)
+        assert code == 0
+        assert ds_eval(serialize.poly_from_dict(data)) == h

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perisym import (
     ArityMismatch,
@@ -10,8 +11,8 @@ from perisym import (
     monomial_orbit_sum,
     straighten_alternant,
 )
-from perisym.laurent import grlex_key
-from perisym.schur import denominators, schur_poly
+from perisym.laurent import _divide_by_heap, grlex_key
+from perisym.schur import denominator_factors, denominators, schur_poly
 
 import util
 
@@ -200,3 +201,70 @@ class TestStraightenAlternant:
                 sign, lam = res
                 quotient = brute.exact_divide(denominators(n)[1])
                 assert quotient == sign * schur_poly(lam)
+
+
+# -- the two-term path of exact_divide, against the heap division -----------
+
+
+@st.composite
+def poly_and_binomial(draw):
+    """A random f and a two-term g of one of the shapes the library
+    divides by (x_i - x_j, 1 - x_i x_j, t - t^-1) or a non-unit one
+    such as 2x - 3y, in 1 to 4 variables."""
+    n = draw(st.integers(1, 4))
+    exps = st.tuples(*[st.integers(-3, 3)] * n)
+    f = LaurentPoly(n, draw(st.dictionaries(exps, st.integers(-9, 9), max_size=6)))
+    shape = draw(st.sampled_from(
+        ("vandermonde", "odd_root", "t_pair", "general") if n >= 2
+        else ("t_pair", "general")))
+    if shape in ("vandermonde", "odd_root"):
+        i, j = draw(st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True))
+        xi, xj = LaurentPoly.variable(n, i), LaurentPoly.variable(n, j)
+        g = xi - xj if shape == "vandermonde" else 1 - xi * xj
+    elif shape == "t_pair":
+        i = draw(st.integers(1, n))
+        g = LaurentPoly.variable(n, i) - LaurentPoly.variable(n, i, -1)
+    else:
+        u, v = draw(st.lists(exps, min_size=2, max_size=2, unique=True))
+        nonzero = st.integers(-4, 4).filter(bool)
+        g = LaurentPoly(n, {u: draw(nonzero), v: draw(nonzero)})
+    return f, g
+
+
+class TestBinomialDivision:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_and_binomial())
+    def test_product_divides_back(self, case):
+        f, g = case
+        assert len(g) == 2
+        assert (f * g).exact_divide(g) == f
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_and_binomial())
+    def test_agrees_with_heap_division(self, case):
+        f, g = case
+        product = f * g
+        if not product.is_zero():
+            assert product.exact_divide(g) == _divide_by_heap(product, g)
+
+    @settings(max_examples=300, deadline=None)
+    @given(poly_and_binomial(), st.data())
+    def test_perturbed_product_not_divisible(self, case, data):
+        # A binomial is not a unit, so it divides no monomial: adding one
+        # term to a multiple of g leaves a non-multiple.
+        f, g = case
+        n = f.arity
+        e = data.draw(st.tuples(*[st.integers(-5, 5)] * n))
+        c = data.draw(st.integers(-3, 3).filter(bool))
+        perturbed = f * g + LaurentPoly.monomial(n, e, c)
+        with pytest.raises(NotDivisible):
+            perturbed.exact_divide(g)
+
+    def test_denominator_factors_divide_in_order(self):
+        for n in (2, 3, 4):
+            r, v = denominators(n)
+            for product, factors in zip((r, v), denominator_factors(n)):
+                quotient = product
+                for factor in factors:
+                    quotient = quotient.exact_divide(factor)
+                assert quotient == LaurentPoly.one(n)
