@@ -18,7 +18,7 @@ from .dsmap import ds_power, kernel_decompose, membership
 from .errors import ArityMismatch, PerisymError
 from .euler import euler_characteristic
 from .laurent import LaurentPoly
-from .lift import certify, lift_window
+from .lift import certify, default_max_window, lift_window
 from .schur import schur_poly
 from .thinkac import sch_thin_kac, theta_prime
 from .verify import ALL_CRITERIA, run_all
@@ -67,6 +67,17 @@ def _load_poly(source: str, n: int | None = None) -> LaurentPoly:
     if n is not None and poly.arity != n:
         raise ArityMismatch(f"payload has arity {poly.arity}, --n says {n}")
     return poly
+
+
+def _max_window(value: int | None) -> int:
+    """The lift search cap: ``--max-window`` if given, else the default,
+    with a bad PERISYM_MAX_WINDOW reported as a usage error."""
+    if value is not None:
+        return value
+    try:
+        return default_max_window()
+    except ValueError as exc:
+        raise click.UsageError(str(exc))
 
 
 def _emit(data) -> None:
@@ -167,9 +178,10 @@ def theta(k, payload, pi_power):
 @cli.command()
 @click.option("--n", "n", type=int, required=True, help="target arity")
 @click.option("-h", "payload", required=True, help="target polynomial JSON")
-@click.option("--max-window", type=int, default=None)
+@click.option("--max-window", type=click.IntRange(min=0), default=None)
 def lift(n, payload, max_window):
     """A supersymmetric preimage of the target under the evaluation map."""
+    max_window = _max_window(max_window)
     target = _load_poly(payload)
     if target.arity != n - 2:
         raise ArityMismatch(f"target has arity {target.arity}, expected {n - 2}")
@@ -179,9 +191,10 @@ def lift(n, payload, max_window):
 @cli.command("certify")
 @click.option("--n", "n", type=int, required=True)
 @click.option("-f", "payload", required=True)
-@click.option("--max-window", type=int, default=None)
+@click.option("--max-window", type=click.IntRange(min=0), default=None)
 def certify_cmd(n, payload, max_window):
     """Peel-and-lift certificate of an element of J_n."""
+    max_window = _max_window(max_window)
     poly = _load_poly(payload, n)
     cert = certify(poly, max_window=max_window)
     _emit(serialize.certificate_to_dict(cert))

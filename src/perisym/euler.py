@@ -19,7 +19,7 @@ from typing import Iterable
 
 from .errors import ArityMismatch, LeviIncompatible, NotMember
 from .laurent import LaurentPoly, permutations_with_signs, straighten_alternant
-from .schur import SchurExpansion, schur_poly
+from .schur import SchurExpansion
 from .weights import Weight, rho
 from .dsmap import ds_eval
 
@@ -143,10 +143,7 @@ def euler_characteristic(
     datum = radical_roots(gamma)
     _check_levi(lam, datum)
     expansion = _straightened(lam, datum)
-    poly = LaurentPoly.zero(datum.arity)
-    for mu, coef in expansion.sorted_items():
-        poly = poly + coef * schur_poly(mu)
-    return poly, expansion
+    return expansion.to_poly(), expansion
 
 
 def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentPoly:

@@ -213,15 +213,14 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
     """
     if not basis:
         return x
-    rows = [dict(v) for v in basis]
+    # Each row travels with its lead, recomputed only after _axpy
+    # changes the row.
+    rows = [(max(r, key=order_key), r) for r in map(dict, basis) if r]
     echelon: list[tuple[object, dict[int, int]]] = []
     while rows:
-        rows = [r for r in rows if r]
-        if not rows:
-            break
-        lead = max((max(r, key=order_key) for r in rows), key=order_key)
-        group = [r for r in rows if max(r, key=order_key) == lead]
-        rest = [r for r in rows if max(r, key=order_key) != lead]
+        lead = max((r_lead for r_lead, _ in rows), key=order_key)
+        group = [r for r_lead, r in rows if r_lead == lead]
+        rest = [(r_lead, r) for r_lead, r in rows if r_lead != lead]
         head = group[0]
         for other in group[1:]:
             a, b = head[lead], other[lead]
@@ -237,7 +236,7 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
                 _axpy(new_other, other, a // g)
                 head, other = new_head, new_other
             if other:
-                rest.append(other)
+                rest.append((max(other, key=order_key), other))
         if head[lead] < 0:
             head = {k: -v for k, v in head.items()}
         echelon.append((lead, head))

@@ -18,7 +18,8 @@ from __future__ import annotations
 import functools
 import heapq
 import itertools
-from typing import Iterable, Iterator, Mapping
+import operator
+from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, BadIndices, NotDivisible
 
@@ -204,7 +205,7 @@ class LaurentPoly:
         get = out.get
         for ea, ca in a.items():
             for eb, cb in b.items():
-                e = tuple(map(int.__add__, ea, eb))
+                e = tuple(map(operator.add, ea, eb))
                 new = get(e, 0) + ca * cb
                 if new:
                     out[e] = new
@@ -331,6 +332,20 @@ class LaurentPoly:
         return f"LaurentPoly({self.arity}, {dict(self.sorted_terms())!r})"
 
 
+def _linear_combination(arity: int, items: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
+    """The sum of ``coef * poly`` over ``(coef, poly)`` pairs of the given
+    arity, accumulated in one dict, with zero coefficients dropped once at
+    the end: linear in the total number of terms, where repeated ``+``
+    copies the running sum at every step."""
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for coef, poly in items:
+        if coef:
+            for exps, c in poly.terms.items():
+                out[exps] = get(exps, 0) + coef * c
+    return LaurentPoly._raw(arity, {e: c for e, c in out.items() if c})
+
+
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
     """Exact quotient of nonzero ``f`` by a nonzero divisor of any length.
 
@@ -357,7 +372,7 @@ def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
                 break
             heapq.heappop(heap)
         coef = rem.pop(lead)
-        q_exps = tuple(map(int.__sub__, lead, g_lead))
+        q_exps = tuple(map(operator.sub, lead, g_lead))
         if any(e < 0 for e in q_exps):
             raise NotDivisible("leading monomial not divisible")
         q_coef, r = divmod(coef, g_lc)
@@ -365,7 +380,7 @@ def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
             raise NotDivisible("leading coefficient not divisible")
         quot[q_exps] = q_coef
         for ge, gc in g_rest:
-            e = tuple(map(int.__add__, q_exps, ge))
+            e = tuple(map(operator.add, q_exps, ge))
             new = rem.get(e, 0) - q_coef * gc
             if new:
                 if e not in rem:
@@ -375,7 +390,7 @@ def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
                 rem.pop(e, None)
     shift = tuple(fmin[k] - gmin[k] for k in range(n))
     if any(shift):
-        quot = {tuple(map(int.__add__, e, shift)): c for e, c in quot.items()}
+        quot = {tuple(map(operator.add, e, shift)): c for e, c in quot.items()}
     return LaurentPoly._raw(n, quot)
 
 
@@ -510,7 +525,7 @@ class TSlice:
         out: dict[tuple[int, tuple[int, ...]], int] = {}
         for (ta, ea), ca in self.terms.items():
             for (tb, eb), cb in other.terms.items():
-                key = (ta + tb, tuple(map(int.__add__, ea, eb)))
+                key = (ta + tb, tuple(map(operator.add, ea, eb)))
                 new = out.get(key, 0) + ca * cb
                 if new:
                     out[key] = new
@@ -603,8 +618,3 @@ def monomial_orbit_sum(arity: int, weight: Iterable[int]) -> LaurentPoly:
         raise ArityMismatch(f"weight {weight} does not match arity {arity}")
     terms = {exps: 1 for exps in set(itertools.permutations(weight))}
     return LaurentPoly._raw(arity, terms)
-
-
-def iter_orbit(weight: tuple[int, ...]) -> Iterator[tuple[int, ...]]:
-    """Distinct permutations of a weight."""
-    return iter(set(itertools.permutations(weight)))

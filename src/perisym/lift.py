@@ -31,7 +31,7 @@ from .errors import (
 from .dsmap import ds_eval, kernel_decompose, membership
 from .laurent import LaurentPoly, grlex_key
 from .schur import SchurExpansion
-from .thinkac import sch_thin_kac
+from .thinkac import thin_kac_combination
 from .weights import Weight
 
 DEFAULT_MAX_WINDOW = 12
@@ -41,11 +41,9 @@ _REDUCTION_SIZE_LIMIT = 600
 @dataclass(frozen=True)
 class Window:
     """Search window for lift unknowns: orbit sums of dominant weights
-    with entries in [-bound, bound], optionally also capped in absolute
-    total degree."""
+    with entries in [-bound, bound]."""
 
     bound: int
-    degree_cap: int | None = None
 
     def __post_init__(self):
         if self.bound < 0:
@@ -53,18 +51,27 @@ class Window:
 
 
 def default_max_window() -> int:
+    """The lift search cap: PERISYM_MAX_WINDOW when set, else 12.
+
+    Raises ValueError when the variable is not a non-negative integer.
+    """
     value = os.environ.get("PERISYM_MAX_WINDOW")
-    return int(value) if value else DEFAULT_MAX_WINDOW
+    if not value:
+        return DEFAULT_MAX_WINDOW
+    message = f"PERISYM_MAX_WINDOW must be a non-negative integer, got {value!r}"
+    try:
+        cap = int(value)
+    except ValueError:
+        raise ValueError(message) from None
+    if cap < 0:
+        raise ValueError(message)
+    return cap
 
 
 def _window_weights(n: int, window: Window) -> list[Weight]:
     """Dominant weights with entries in the window, graded-lex descending."""
-    out = []
     values = range(window.bound, -window.bound - 1, -1)
-    for mu in itertools.combinations_with_replacement(values, n):
-        if window.degree_cap is not None and abs(sum(mu)) > window.degree_cap:
-            continue
-        out.append(mu)
+    out = list(itertools.combinations_with_replacement(values, n))
     out.sort(key=grlex_key, reverse=True)
     return out
 
@@ -228,10 +235,12 @@ class CertificateLevel:
     kernel_coeffs: SchurExpansion
 
     def element(self) -> LaurentPoly:
-        out = self.lift_part
-        for lam, coef in self.kernel_coeffs.sorted_items():
-            out = out + coef * sch_thin_kac(lam)
-        return out
+        """The rank's element: the lift plus the kernel combination
+        sum_lam c_lam * sch_thin_kac(lam), replayed as one Schur sum
+        multiplied by R (see :func:`thinkac.thin_kac_combination`)."""
+        return self.lift_part + thin_kac_combination(
+            self.kernel_coeffs.arity, self.kernel_coeffs.coeffs
+        )
 
 
 @dataclass(frozen=True)

@@ -3,18 +3,28 @@
 ``schur_poly`` computes the character of the gl(n)-irreducible with a
 given dominant highest weight (negative entries allowed) as a bialternant:
 the alternant sum for ``lam + rho`` divided exactly by the Vandermonde.
-``schur_expand`` inverts this, peeling graded-lex leading monomials.
+``schur_expand`` inverts this by straightening: for symmetric q,
+q * a_rho is the antisymmetrization of x^rho * q, so every term of q
+contributes one signed alternant a_{lam + rho} and no Schur polynomial is
+built.
 """
 
 from __future__ import annotations
 
 import functools
+import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import NotDominant, NotSymmetric
-from .laurent import LaurentPoly, grlex_key, permutations_with_signs
-from .weights import Weight, check_dominant
+from .laurent import (
+    LaurentPoly,
+    _linear_combination,
+    grlex_key,
+    permutations_with_signs,
+    straighten_alternant,
+)
+from .weights import Weight, check_dominant, rho
 
 
 @dataclass(frozen=True)
@@ -52,10 +62,9 @@ class SchurExpansion:
 
     def to_poly(self) -> LaurentPoly:
         """The Laurent polynomial this expansion represents."""
-        out = LaurentPoly.zero(self.arity)
-        for lam, coef in self.sorted_items():
-            out = out + coef * schur_poly(lam)
-        return out
+        return _linear_combination(
+            self.arity, ((coef, schur_poly(lam)) for lam, coef in self.coeffs.items())
+        )
 
 
 @functools.cache
@@ -145,20 +154,21 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
 def schur_expand(f: LaurentPoly) -> SchurExpansion:
     """Expand a symmetric Laurent polynomial in the Schur basis.
 
-    Repeatedly peels the graded-lex leading monomial x^lam, which for a
-    symmetric polynomial always has dominant lam and is the leading
-    monomial of s_lam, so the leading term strictly decreases.
+    With a_nu the alternant of nu and rho the staircase, symmetry of f
+    gives f * a_rho = sum_e f_e a_{e + rho}, and straightening turns each
+    a_{e + rho} into zero or +-a_{lam + rho} = +-s_lam * a_rho.  So
+    c_lam is the signed sum of f's coefficients over the exponents e that
+    straighten to lam: one pass over the terms, in time linear in their
+    number.
     """
     if not f.is_symmetric():
         raise NotSymmetric("Schur expansion needs a symmetric polynomial")
+    n = f.arity
+    staircase = rho(n)
     coeffs: dict[Weight, int] = {}
-    work = f
-    while not work.is_zero():
-        exps, coef = work.leading_term()
-        lam = tuple(exps)
-        if any(lam[i] < lam[i + 1] for i in range(len(lam) - 1)):
-            raise NotSymmetric(f"leading monomial {lam} of a symmetric polynomial "
-                               "should be weakly decreasing")
-        coeffs[lam] = coef
-        work = work - coef * schur_poly(lam)
-    return SchurExpansion(f.arity, coeffs)
+    for exps, coef in f.terms.items():
+        res = straighten_alternant(map(operator.add, exps, staircase))
+        if res is not None:
+            sign, lam = res
+            coeffs[lam] = coeffs.get(lam, 0) + sign * coef
+    return SchurExpansion(n, coeffs)

@@ -14,8 +14,8 @@ from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
 from .errors import NotDominant
-from .laurent import LaurentPoly, grlex_key
-from .schur import denominators, schur_poly
+from .laurent import LaurentPoly, _linear_combination, grlex_key
+from .schur import denominator_factors, denominators, schur_poly
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
@@ -99,12 +99,25 @@ def sch_thin_kac(lam: Iterable[int]) -> LaurentPoly:
     return cached
 
 
+def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPoly:
+    """The polynomial sum_lam c_lam * sch_thin_kac(lam) for thin-Kac
+    coordinates ``coeffs`` in ``arity`` variables.
+
+    Computed as R * sum_lam (-1)^parity(lam) c_lam s_lam: the Schur
+    polynomials are summed in one pass, then multiplied by the binomial
+    factors of R, so no thin-Kac supercharacter is built or cached.
+    """
+    out = _linear_combination(arity, (
+        (-coef if parity(lam) else coef, schur_poly(lam)) for lam, coef in coeffs.items()
+    ))
+    for factor in denominator_factors(arity)[0]:
+        out = out * factor
+    return out
+
+
 def kclass_sch(cls: KClass) -> LaurentPoly:
     """Supercharacter of a formal combination of thin-Kac symbols."""
-    out = LaurentPoly.zero(cls.arity)
-    for lam, coef in cls.sorted_items():
-        out = out + coef * sch_thin_kac(lam)
-    return out
+    return thin_kac_combination(cls.arity, cls.coeffs)
 
 
 def sch_standard(n: int) -> LaurentPoly:

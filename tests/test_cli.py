@@ -234,3 +234,22 @@ class TestLiftRegressions:
         code, data = run_json(capsys, "lift", "--n", "4", "-h", payload)
         assert code == 0
         assert ds_eval(serialize.poly_from_dict(data)) == h
+
+
+class TestWindowCap:
+    TARGET = json.dumps(serialize.poly_to_dict(sch_thin_kac((1, 0))))
+
+    def test_negative_max_window_is_usage_error(self, capsys):
+        code = main(["lift", "--n", "4", "-h", self.TARGET, "--max-window", "-3"])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert "--max-window" in err and "Traceback" not in err
+
+    @pytest.mark.parametrize("argv", [("lift", "--n", "4", "-h"), ("certify", "--n", "2", "-f")])
+    def test_bad_env_cap_is_usage_error(self, capsys, monkeypatch, argv):
+        monkeypatch.setenv("PERISYM_MAX_WINDOW", "abc")
+        code = main([*argv, self.TARGET])
+        captured = capsys.readouterr()
+        assert code == 1
+        assert captured.out == ""
+        assert "PERISYM_MAX_WINDOW" in captured.err and "Traceback" not in captured.err

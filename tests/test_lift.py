@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisym import (
     Certificate,
@@ -19,6 +21,7 @@ from perisym import (
     sch_thin_kac,
 )
 from perisym.lift import CertificateLevel
+from perisym.schur import denominator_factors, schur_poly
 
 
 def random_member(n, rng, bound=4, picks=5, coef=3):
@@ -81,6 +84,14 @@ class TestLiftWindow:
         assert default_max_window() == 12
         monkeypatch.setenv("PERISYM_MAX_WINDOW", "6")
         assert default_max_window() == 6
+
+    @pytest.mark.parametrize("value", ["abc", "-3", "1.5"])
+    def test_max_window_env_rejects_bad_values(self, monkeypatch, value):
+        from perisym.lift import default_max_window
+
+        monkeypatch.setenv("PERISYM_MAX_WINDOW", value)
+        with pytest.raises(ValueError, match="PERISYM_MAX_WINDOW"):
+            default_max_window()
 
 
 class TestCertify:
@@ -149,6 +160,44 @@ class TestCertify:
     def test_rejects_non_member(self):
         with pytest.raises(NotMember):
             certify(LaurentPoly(2, {(1, 0): 1, (0, 1): 1}))
+
+
+@st.composite
+def window_members(draw):
+    """Integer combinations of up to four window-basis members of J_n."""
+    n, bound = draw(st.sampled_from([(2, 3), (3, 3), (4, 2)]))
+    basis = membership_window_basis(n, bound)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1), st.integers(-3, 3)),
+                          min_size=1, max_size=4))
+    out = LaurentPoly.zero(n)
+    for index, coef in picks:
+        out = out + coef * basis[index]
+    return out
+
+
+class TestCertificateReplay:
+    @settings(max_examples=40, deadline=None)
+    @given(window_members())
+    def test_element_is_lift_plus_thin_kac_sum(self, f):
+        cert = certify(f)
+        for level in cert.levels:
+            expected = level.lift_part
+            for lam, coef in level.kernel_coeffs.coeffs.items():
+                expected = expected + coef * sch_thin_kac(lam)
+            assert level.element() == expected
+        assert cert.validate() == f
+
+    @settings(max_examples=20, deadline=None)
+    @given(window_members())
+    def test_validate_leaves_cached_polynomials_alone(self, f):
+        cert = certify(f)
+        weights = {lam for level in cert.levels for lam in level.kernel_coeffs.coeffs}
+        schur_before = {lam: dict(schur_poly(lam).terms) for lam in weights}
+        factors_before = [dict(p.terms) for p in denominator_factors(f.arity)[0]]
+        assert cert.validate() == f
+        assert {lam: schur_poly(lam).terms for lam in weights} == schur_before
+        assert [p.terms for p in denominator_factors(f.arity)[0]] == factors_before
+        assert cert.validate() == f
 
 
 class TestMembershipWindowBasis:

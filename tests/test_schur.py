@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisym import (
     LaurentPoly,
@@ -12,6 +14,7 @@ from perisym import (
     schur_expand,
     schur_poly,
 )
+from perisym.laurent import monomial_orbit_sum
 from perisym.schur import alternant
 from perisym.weights import rho
 
@@ -113,3 +116,48 @@ class TestSchurExpand:
         e = SchurExpansion(2, {(1, 0): 0, (0, 0): 2})
         assert e.coeffs == {(0, 0): 2}
         assert not SchurExpansion(2, {}).coeffs
+
+
+def peel_expand(f: LaurentPoly) -> SchurExpansion:
+    """Reference Schur expansion by peeling: the graded-lex leading
+    monomial of a symmetric polynomial is dominant and leads its Schur
+    polynomial, so subtracting coef * s_lead strictly lowers the lead."""
+    coeffs = {}
+    work = f
+    while not work.is_zero():
+        lead, coef = work.leading_term()
+        coeffs[lead] = coef
+        work = work - coef * schur_poly(lead)
+    return SchurExpansion(f.arity, coeffs)
+
+
+@st.composite
+def symmetric_polys(draw, min_arity=0):
+    """Integer combinations of monomial orbit sums, n <= 4, exponents in
+    [-3, 3]."""
+    n = draw(st.integers(min_arity, 4))
+    orbits = st.tuples(*[st.integers(-3, 3)] * n)
+    f = LaurentPoly.zero(n)
+    for mu, coef in draw(st.lists(st.tuples(orbits, st.integers(-5, 5)), max_size=5)):
+        f = f + coef * monomial_orbit_sum(n, mu)
+    return f
+
+
+class TestSchurExpandProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_polys())
+    def test_matches_peeling(self, f):
+        assert schur_expand(f) == peel_expand(f)
+
+    @settings(max_examples=200, deadline=None)
+    @given(symmetric_polys())
+    def test_to_poly_roundtrip(self, f):
+        assert schur_expand(f).to_poly() == f
+
+    @settings(max_examples=100, deadline=None)
+    @given(symmetric_polys(min_arity=2), st.data())
+    def test_not_symmetric_raises(self, f, data):
+        n = f.arity
+        e = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(lambda e: e[0] != e[1]))
+        with pytest.raises(NotSymmetric):
+            schur_expand(f + LaurentPoly.monomial(n, e))

@@ -1,6 +1,8 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisym import (
     KClass,
@@ -140,3 +142,22 @@ class TestSupertraceTwist:
             a = rng.randint(-2, 2)
             twisted = kclass_sch(supertrace_twist(cls, a))
             assert twisted == LaurentPoly.monomial(n, (a,) * n) * kclass_sch(cls)
+
+
+@st.composite
+def kclasses(draw):
+    """Thin-Kac combinations, n <= 4, weight entries in [-3, 3]."""
+    n = draw(st.integers(0, 4))
+    weights = st.lists(st.integers(-3, 3), min_size=n, max_size=n).map(
+        lambda w: tuple(sorted(w, reverse=True)))
+    return KClass(n, draw(st.dictionaries(weights, st.integers(-5, 5), max_size=5)))
+
+
+class TestKClassSupercharacter:
+    @settings(max_examples=150, deadline=None)
+    @given(kclasses())
+    def test_equals_thin_kac_sum(self, cls):
+        expected = LaurentPoly.zero(cls.arity)
+        for lam, coef in cls.coeffs.items():
+            expected = expected + coef * sch_thin_kac(lam)
+        assert kclass_sch(cls) == expected
