@@ -63,9 +63,18 @@ class EchelonSystem:
     """Column echelon factorization of a sparse integer matrix.
 
     ``columns`` is a list of sparse columns; the constructor consumes it.
-    Rows are eliminated in a fill-reducing order (fewest occupied columns
-    first); each elimination is a unimodular combination of columns, so
-    the tracked matrix V satisfies  A_original * V = A_echelon.
+    Rows are eliminated in a fill-reducing order: each step takes the
+    row with the least (number of occupied non-pivot columns, row key).
+    Each elimination is a unimodular combination of columns, so the
+    tracked matrix V satisfies  A_original * V = A_echelon.
+
+    The order comes from a lazy heap of (count, row) entries.  An entry
+    is pushed when a row enters the occupied set and whenever its count
+    falls, but not when it grows, so every occupied row keeps an entry
+    whose key is at most (current count, row).  A popped entry whose
+    count is out of date is pushed again with the current count; one
+    that matches is the least occupied row, exactly as if every change
+    had been pushed.
     """
 
     def __init__(self, columns: list[dict]):
@@ -86,7 +95,7 @@ class EchelonSystem:
             cands = occ.get(row)
             if not cands:
                 continue
-            if size != len(cands):
+            if size != len(cands):  # the count grew after this push
                 heapq.heappush(heap, (len(cands), row))
                 continue
             pivot = self._eliminate_row(row, sorted(cands), heap)
@@ -105,9 +114,12 @@ class EchelonSystem:
     def _touch(self, ci: int, added, removed, heap) -> None:
         occ = self._occ
         for row in added:
-            s = occ.setdefault(row, set())
-            s.add(ci)
-            heapq.heappush(heap, (len(s), row))
+            s = occ.get(row)
+            if s is None:
+                occ[row] = {ci}
+                heapq.heappush(heap, (1, row))
+            else:
+                s.add(ci)
         for row in removed:
             s = occ.get(row)
             if s is not None:

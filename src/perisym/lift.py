@@ -17,7 +17,6 @@ kernel remainder.  Replaying the records reconstructs the input exactly.
 from __future__ import annotations
 
 import itertools
-import math
 import os
 from dataclasses import dataclass
 
@@ -76,28 +75,25 @@ def _window_weights(n: int, window: Window) -> list[Weight]:
     return out
 
 
-def _orbit_size(weight: tuple[int, ...]) -> int:
-    size = math.factorial(len(weight))
-    for value in set(weight):
-        size //= math.factorial(weight.count(value))
-    return size
-
-
 def _orbit_column(mu: Weight, include_t_zero: bool) -> dict:
-    """Slice coefficients of the orbit sum of mu at the last pair,
-    with the reduced part canonicalized (sorted decreasing)."""
-    n = len(mu)
-    counts: dict[tuple[int, tuple[int, ...]], int] = {}
-    for e in set(itertools.permutations(mu)):
-        t_exp = e[n - 2] - e[n - 1]
-        if t_exp == 0 and not include_t_zero:
-            continue
-        key = (t_exp, tuple(sorted(e[: n - 2], reverse=True)))
-        counts[key] = counts.get(key, 0) + 1
-    return {
-        (t_exp, r): c // _orbit_size(r)
-        for (t_exp, r), c in counts.items()
-    }
+    """Slice coefficients of the orbit sum of dominant mu at the last pair.
+
+    Under x_{n-1} = t, x_n = 1/t the orbit sum m_mu becomes
+    sum t^(a-b) * m_rest over the distinct ordered value pairs (a, b)
+    drawn from mu, where rest is mu with one a and one b removed (still
+    sorted decreasing).  The column maps each key (a - b, rest) to the
+    coefficient of t^(a-b) * m_rest: distinct pairs give distinct keys,
+    so every coefficient is 1, and the loop over positions may meet a
+    key more than once.  Pairs with a == b are left out unless
+    ``include_t_zero``.
+    """
+    column = {}
+    for i, a in enumerate(mu):
+        others = mu[:i] + mu[i + 1:]
+        for j, b in enumerate(others):
+            if a != b or include_t_zero:
+                column[(a - b, others[:j] + others[j + 1:])] = 1
+    return column
 
 
 class _WindowSystem:
@@ -129,10 +125,9 @@ class _WindowSystem:
         return {self.weights[i]: c for i, c in x.items() if c}
 
     def _reduction_basis(self) -> list[dict[int, int]]:
-        kernel = self.echelon.kernel_vectors()
-        if len(kernel) > _REDUCTION_SIZE_LIMIT:
+        if len(self.echelon.kernel) > _REDUCTION_SIZE_LIMIT:
             return []
-        return kernel
+        return self.echelon.kernel_vectors()
 
 
 _system_cache: dict[tuple[int, Window], _WindowSystem] = {}
@@ -289,22 +284,21 @@ def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
     return Certificate((level,) + below.levels, below.bottom)
 
 
-_membership_cache: dict[tuple[int, Window], list[LaurentPoly]] = {}
+_membership_cache: dict[tuple[int, Window], tuple[LaurentPoly, ...]] = {}
 
 
-def membership_window_basis(n: int, bound: int) -> list[LaurentPoly]:
+def membership_window_basis(n: int, bound: int) -> tuple[LaurentPoly, ...]:
     """A lattice basis of the supersymmetric polynomials in n variables
     whose orbit support lies in the window: the integer nullspace of the
-    t-dependent slice coefficients."""
+    t-dependent slice coefficients.  The basis is cached, hence a tuple."""
     window = Window(bound)
     key = (n, window)
     if key not in _membership_cache:
         weights = _window_weights(n, window)
         columns = [_orbit_column(mu, False) for mu in weights]
         echelon = intlinalg.EchelonSystem(columns)
-        basis = []
-        for vec in echelon.kernel_vectors():
-            coeffs = {weights[i]: c for i, c in vec.items() if c}
-            basis.append(orbit_sum_combination(n, coeffs))
-        _membership_cache[key] = basis
+        _membership_cache[key] = tuple(
+            orbit_sum_combination(n, {weights[i]: c for i, c in vec.items() if c})
+            for vec in echelon.kernel_vectors()
+        )
     return _membership_cache[key]

@@ -140,17 +140,29 @@ def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
     }
 
 
+def _fields(data: Any, what: str, keys: tuple[str, ...]) -> list[Any]:
+    """The values of ``data`` at ``keys``; ValueError names a missing key."""
+    if not isinstance(data, dict):
+        raise ValueError(f"{what} must be an object, got {data!r}")
+    for key in keys:
+        if key not in data:
+            raise ValueError(f"{what} is missing key {key!r}")
+    return [data[key] for key in keys]
+
+
 def certificate_from_dict(data: Any) -> Certificate:
-    if not isinstance(data, dict) or "levels" not in data or "bottom" not in data:
-        raise ValueError("certificate JSON needs keys 'levels' and 'bottom'")
+    items, bottom = _fields(data, "certificate JSON", ("levels", "bottom"))
+    if not isinstance(items, list):
+        raise ValueError(f"'levels' must be a list, got {items!r}")
     levels = []
-    for item in data["levels"]:
-        kernel = item["kernel"]
+    for item in items:
+        rank, lift, kernel = _fields(item, "certificate level", ("rank", "lift", "kernel"))
+        n, coeffs = _fields(kernel, "level 'kernel'", ("n", "coeffs"))
         levels.append(
             CertificateLevel(
-                _int(item["rank"], "'rank'"),
-                poly_from_dict(item["lift"]),
-                SchurExpansion(_int(kernel["n"], "'n'"), _coeffs_from_list(kernel["coeffs"])),
+                _int(rank, "'rank'"),
+                poly_from_dict(lift),
+                SchurExpansion(_int(n, "'n'"), _coeffs_from_list(coeffs)),
             )
         )
-    return Certificate(tuple(levels), poly_from_dict(data["bottom"]))
+    return Certificate(tuple(levels), poly_from_dict(bottom))

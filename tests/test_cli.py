@@ -1,10 +1,12 @@
 import json
+import re
 
 import pytest
 
 from perisym import (
     KClass,
     LaurentPoly,
+    certify,
     ds_eval,
     ds_power,
     euler_characteristic,
@@ -112,6 +114,25 @@ class TestCommands:
         assert code == 0
         cert = serialize.certificate_from_dict(data)
         assert cert.validate() == f
+
+    @pytest.mark.parametrize("damage, message", [
+        (lambda d: d["levels"][0].pop("kernel"), "missing key 'kernel'"),
+        (lambda d: d["levels"][0].pop("rank"), "missing key 'rank'"),
+        (lambda d: d["levels"][0].pop("lift"), "missing key 'lift'"),
+        (lambda d: d["levels"][0]["kernel"].pop("n"), "missing key 'n'"),
+        (lambda d: d["levels"][0]["kernel"].pop("coeffs"), "missing key 'coeffs'"),
+        (lambda d: d.pop("bottom"), "missing key 'bottom'"),
+        (lambda d: d.update(levels={"rank": 2}), "'levels' must be a list"),
+        (lambda d: d.update(levels=None), "'levels' must be a list"),
+        (lambda d: d["levels"].append([2]), "certificate level must be an object"),
+        (lambda d: d["levels"][0].update(kernel=[]), "level 'kernel' must be an object"),
+    ], ids=["no-kernel", "no-rank", "no-lift", "kernel-no-n", "kernel-no-coeffs",
+            "no-bottom", "levels-dict", "levels-null", "level-list", "kernel-list"])
+    def test_certificate_from_dict_fails_closed(self, damage, message):
+        data = serialize.certificate_to_dict(certify(sch_thin_kac((0, 0)) - 3))
+        damage(data)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            serialize.certificate_from_dict(data)
 
     def test_verify_suite_single_criterion(self, capsys):
         code, out = run(capsys, "verify-suite", "--criteria", "7")

@@ -1,0 +1,190 @@
+"""The echelon factorization and the lift-system columns against
+straightforward references.
+
+``reference_echelon`` is the factorization as first written: it pushes a
+heap entry on every change to a row's column set.  ``EchelonSystem``
+pushes only when a row's count falls; it must pick exactly the same
+pivots, so pivots, echelon columns, transformation and kernel agree.
+``reference_orbit_column`` slices the orbit sum by enumerating the
+orbit.
+"""
+
+from __future__ import annotations
+
+import copy
+import heapq
+import itertools
+import math
+
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from perisym.intlinalg import EchelonSystem, _axpy, xgcd
+from perisym.lift import Window, _orbit_column, _window_weights
+
+
+class reference_echelon:
+    """Column echelon with a heap entry pushed on every change."""
+
+    def __init__(self, columns):
+        self.cols = columns
+        ncols = len(columns)
+        self.V = [{i: 1} for i in range(ncols)]
+        occ = {}
+        for ci, col in enumerate(columns):
+            for row in col:
+                occ.setdefault(row, set()).add(ci)
+        self._occ = occ
+        self.pivots = []
+        active = set(range(ncols))
+        heap = [(len(cs), row) for row, cs in occ.items()]
+        heapq.heapify(heap)
+        while heap:
+            size, row = heapq.heappop(heap)
+            cands = occ.get(row)
+            if not cands:
+                continue
+            if size != len(cands):
+                heapq.heappush(heap, (len(cands), row))
+                continue
+            pivot = self._eliminate_row(row, sorted(cands), heap)
+            self.pivots.append((row, pivot))
+            active.discard(pivot)
+            for r in self.cols[pivot]:
+                s = occ.get(r)
+                if s is not None:
+                    s.discard(pivot)
+                    if not s:
+                        del occ[r]
+                    else:
+                        heapq.heappush(heap, (len(s), r))
+        self.kernel = sorted(c for c in active if not self.cols[c])
+
+    def _touch(self, ci, added, removed, heap):
+        occ = self._occ
+        for row in added:
+            s = occ.setdefault(row, set())
+            s.add(ci)
+            heapq.heappush(heap, (len(s), row))
+        for row in removed:
+            s = occ.get(row)
+            if s is not None:
+                s.discard(ci)
+                if not s:
+                    del occ[row]
+                else:
+                    heapq.heappush(heap, (len(s), row))
+
+    def _eliminate_row(self, row, cands, heap):
+        cols, V = self.cols, self.V
+
+        def pivot_key(c):
+            a = abs(cols[c][row])
+            return (a != 1, len(cols[c]), a, c)
+
+        pivot = min(cands, key=pivot_key)
+        for c in cands:
+            if c == pivot:
+                continue
+            a = cols[pivot][row]
+            b = cols[c][row]
+            if b % a == 0:
+                q = -(b // a)
+                added, removed = _axpy(cols[c], cols[pivot], q)
+                _axpy(V[c], V[pivot], q)
+                self._touch(c, added, removed, heap)
+            else:
+                g, u, v = xgcd(a, b)
+                new_p, new_c, newV_p, newV_c = {}, {}, {}, {}
+                _axpy(new_p, cols[pivot], u)
+                _axpy(new_p, cols[c], v)
+                _axpy(new_c, cols[pivot], -(b // g))
+                _axpy(new_c, cols[c], a // g)
+                _axpy(newV_p, V[pivot], u)
+                _axpy(newV_p, V[c], v)
+                _axpy(newV_c, V[pivot], -(b // g))
+                _axpy(newV_c, V[c], a // g)
+                self._replace(pivot, new_p, newV_p, heap)
+                self._replace(c, new_c, newV_c, heap)
+        if cols[pivot][row] < 0:
+            cols[pivot] = {r: -v for r, v in cols[pivot].items()}
+            V[pivot] = {k: -v for k, v in V[pivot].items()}
+        return pivot
+
+    def _replace(self, ci, new_col, new_v, heap):
+        old = self.cols[ci]
+        added = [r for r in new_col if r not in old]
+        removed = [r for r in old if r not in new_col]
+        self.cols[ci] = new_col
+        self.V[ci] = new_v
+        self._touch(ci, added, removed, heap)
+
+
+def assert_same_factorization(columns):
+    fast = EchelonSystem(copy.deepcopy(columns))
+    ref = reference_echelon(copy.deepcopy(columns))
+    assert fast.pivots == ref.pivots
+    assert fast.kernel == ref.kernel
+    assert fast.cols == ref.cols
+    assert fast.V == ref.V
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Sparse integer columns with entries in [-3, 3], some empty and
+    some repeated."""
+    nrows = draw(st.integers(1, 9))
+    column = st.dictionaries(st.integers(0, nrows - 1),
+                             st.integers(-3, 3).filter(bool), max_size=nrows)
+    columns = draw(st.lists(column, max_size=14))
+    if columns:
+        copies = draw(st.lists(st.integers(0, len(columns) - 1), max_size=4))
+        columns += [dict(columns[i]) for i in copies]
+        columns = draw(st.permutations(columns))
+    return list(columns)
+
+
+class TestEchelonAgainstReference:
+    @settings(max_examples=300, deadline=None)
+    @given(sparse_matrices())
+    def test_random_sparse_matrices(self, columns):
+        assert_same_factorization(columns)
+
+    def test_lift_systems(self):
+        for n, bound in ((3, 5), (4, 5), (4, 6), (5, 3)):
+            weights = _window_weights(n, Window(bound))
+            for include_t_zero in (True, False):
+                assert_same_factorization(
+                    [_orbit_column(mu, include_t_zero) for mu in weights])
+
+
+def reference_orbit_column(mu, include_t_zero):
+    """Slice the orbit sum term by term at the last pair and divide each
+    count by the orbit size of the reduced part."""
+    n = len(mu)
+    counts = {}
+    for e in set(itertools.permutations(mu)):
+        t_exp = e[n - 2] - e[n - 1]
+        if t_exp == 0 and not include_t_zero:
+            continue
+        key = (t_exp, tuple(sorted(e[: n - 2], reverse=True)))
+        counts[key] = counts.get(key, 0) + 1
+    out = {}
+    for (t_exp, rest), count in counts.items():
+        size = math.factorial(len(rest))
+        for value in set(rest):
+            size //= math.factorial(rest.count(value))
+        out[(t_exp, rest)] = count // size
+    return out
+
+
+dominant_weights = st.integers(2, 6).flatmap(
+    lambda n: st.lists(st.integers(-3, 3), min_size=n, max_size=n)
+).map(lambda values: tuple(sorted(values, reverse=True)))
+
+
+class TestOrbitColumn:
+    @settings(max_examples=200, deadline=None)
+    @given(dominant_weights, st.booleans())
+    def test_matches_orbit_enumeration(self, mu, include_t_zero):
+        assert _orbit_column(mu, include_t_zero) == reference_orbit_column(mu, include_t_zero)

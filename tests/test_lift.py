@@ -208,6 +208,17 @@ class TestMembershipWindowBasis:
             for f in basis:
                 assert membership(f).member
 
+    def test_cached_basis_cannot_be_changed_by_a_caller(self):
+        first = membership_window_basis(2, 2)
+        snapshot = [f.terms.copy() for f in first]
+        with pytest.raises(AttributeError):
+            first.append(LaurentPoly.one(2))
+        with pytest.raises(TypeError):
+            del first[0]
+        second = membership_window_basis(2, 2)
+        assert second is first
+        assert [f.terms for f in second] == snapshot
+
     def test_rank_one_window_is_everything(self):
         basis = membership_window_basis(1, 2)
         # every Laurent polynomial in one variable is supersymmetric
