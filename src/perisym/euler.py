@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 from .errors import ArityMismatch, LeviIncompatible, NotMember
-from .laurent import LaurentPoly, permutations_with_signs, straighten_alternant
-from .schur import SchurExpansion
+from .laurent import LaurentPoly, permutations_with_signs
+from .schur import SchurExpansion, _alternant_coefficients
 from .weights import Weight, rho
 from .dsmap import ds_eval
 
@@ -103,28 +103,12 @@ def _check_levi(lam: Weight, datum: ParabolicDatum) -> None:
                 )
 
 
-def _numerator(lam: Weight, datum: ParabolicDatum) -> LaurentPoly:
-    n = datum.arity
-    shifted = tuple(lam[i] + (n - 1 - i) for i in range(n))
-    out = LaurentPoly.monomial(n, shifted)
-    for alpha in datum.odd_radical:
-        out = out * (LaurentPoly.one(n) - LaurentPoly.monomial(n, [-a for a in alpha]))
-    return out
-
-
 def _straightened(lam: Weight, datum: ParabolicDatum) -> SchurExpansion:
-    coeffs: dict[Weight, int] = {}
-    for exps, coef in _numerator(lam, datum).terms.items():
-        res = straighten_alternant(exps)
-        if res is None:
-            continue
-        sign, mu = res
-        new = coeffs.get(mu, 0) + sign * coef
-        if new:
-            coeffs[mu] = new
-        else:
-            del coeffs[mu]
-    return SchurExpansion(datum.arity, coeffs)
+    n = datum.arity
+    numerator = LaurentPoly.monomial(n, lam)
+    for alpha in datum.odd_radical:
+        numerator = numerator * (LaurentPoly.one(n) - LaurentPoly.monomial(n, [-a for a in alpha]))
+    return SchurExpansion(n, _alternant_coefficients(numerator))
 
 
 def euler_characteristic(
@@ -151,7 +135,8 @@ def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentP
 
     Computes the same polynomial as ``ds_power(euler_characteristic(lam,
     gamma)[0], k)`` but performs the first evaluation on the alternant
-    numerator, dividing the sliced numerator by the sliced Vandermonde.
+    numerator, dividing the sliced numerator by the binomial factors of the
+    sliced Vandermonde.
     This avoids materializing the full Euler characteristic, whose term
     count grows quickly with the arity, and is exact at every step.
     """
@@ -186,34 +171,14 @@ def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentP
     numerator = LaurentPoly(n - 1, sliced)
 
     m = n - 1  # reduced ring: y_1..y_{n-2}, then t
-    vandermonde = LaurentPoly.one(m)
-    for i in range(n - 2):
-        for j in range(i + 1, n - 2):
-            yi = [0] * m
-            yi[i] = 1
-            yj = [0] * m
-            yj[j] = 1
-            vandermonde = vandermonde * (
-                LaurentPoly.monomial(m, yi) - LaurentPoly.monomial(m, yj)
-            )
-    for i in range(n - 2):
-        for t_pow in (1, -1):
-            yi = [0] * m
-            yi[i] = 1
-            tv = [0] * m
-            tv[m - 1] = t_pow
-            vandermonde = vandermonde * (
-                LaurentPoly.monomial(m, yi) - LaurentPoly.monomial(m, tv)
-            )
-    t_up = [0] * m
-    t_up[m - 1] = 1
-    t_down = [0] * m
-    t_down[m - 1] = -1
-    vandermonde = vandermonde * (
-        LaurentPoly.monomial(m, t_up) - LaurentPoly.monomial(m, t_down)
-    )
-
-    quotient = numerator.exact_divide(vandermonde)
+    ys = [LaurentPoly.variable(m, i + 1) for i in range(n - 2)]
+    t_up, t_down = LaurentPoly.variable(m, m), LaurentPoly.variable(m, m, -1)
+    factors = [ys[i] - ys[j] for i in range(n - 2) for j in range(i + 1, n - 2)]
+    factors += [y - t for y in ys for t in (t_up, t_down)]
+    factors.append(t_up - t_down)
+    quotient = numerator
+    for factor in factors:
+        quotient = quotient.exact_divide(factor)
     reduced: dict[tuple[int, ...], int] = {}
     for exps, coef in quotient.terms.items():
         if exps[m - 1]:

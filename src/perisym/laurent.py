@@ -54,7 +54,7 @@ class LaurentPoly:
                     raise ArityMismatch(
                         f"exponent vector {exps} has length {len(exps)}, expected {arity}"
                     )
-                coef = int(coef)
+                coef = operator.index(coef)
                 if coef:
                     clean[exps] = clean.get(exps, 0) + coef
                     if not clean[exps]:

@@ -28,9 +28,12 @@ from .weights import Weight, check_dominant, rho
 
 
 @dataclass(frozen=True)
-class SchurExpansion:
-    """A finite integer combination of Schur polynomials, keyed by
-    dominant weight.  Zero coefficients are dropped on construction."""
+class _WeightCombination:
+    """A finite integer combination of basis symbols keyed by dominant
+    weight.  Zero coefficients are dropped on construction.  Subclasses
+    name the basis; the generated ``__eq__`` compares exact classes, so
+    combinations in different bases never compare equal, and arithmetic
+    between them raises TypeError."""
 
     arity: int
     coeffs: Mapping[Weight, int] = field(default_factory=dict)
@@ -42,14 +45,10 @@ class SchurExpansion:
             if len(lam) != self.arity:
                 raise NotDominant(f"weight {lam} does not match arity {self.arity}")
             check_dominant(lam)
+            coef = operator.index(coef)
             if coef:
-                clean[lam] = int(coef)
+                clean[lam] = coef
         object.__setattr__(self, "coeffs", clean)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SchurExpansion):
-            return NotImplemented
-        return self.arity == other.arity and self.coeffs == other.coeffs
 
     def __hash__(self) -> int:
         return hash((self.arity, frozenset(self.coeffs.items())))
@@ -59,6 +58,39 @@ class SchurExpansion:
 
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
+
+    def __add__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        if self.arity != other.arity:
+            raise NotDominant("cannot add classes of different arities")
+        out = dict(self.coeffs)
+        for lam, coef in other.coeffs.items():
+            out[lam] = out.get(lam, 0) + coef
+        return type(self)(self.arity, out)
+
+    def __neg__(self):
+        return type(self)(self.arity, {lam: -c for lam, c in self.coeffs.items()})
+
+    def __sub__(self, other):
+        return self + (-other)
+
+    def __mul__(self, scalar: int):
+        if not isinstance(scalar, int):
+            return NotImplemented
+        return type(self)(self.arity, {lam: c * scalar for lam, c in self.coeffs.items()})
+
+    __rmul__ = __mul__
+
+    @classmethod
+    def basis(cls, lam: Iterable[int]):
+        lam = check_dominant(lam)
+        return cls(len(lam), {lam: 1})
+
+
+class SchurExpansion(_WeightCombination):
+    """An integer combination of Schur polynomials, keyed by dominant
+    weight."""
 
     def to_poly(self) -> LaurentPoly:
         """The Laurent polynomial this expansion represents."""
@@ -151,24 +183,32 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
     return result
 
 
-def schur_expand(f: LaurentPoly) -> SchurExpansion:
-    """Expand a symmetric Laurent polynomial in the Schur basis.
+def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:
+    """The c_lam with A(x^rho * f) = sum_lam c_lam a_{lam + rho}, where A
+    antisymmetrizes and a_nu is the alternant of nu.
 
-    With a_nu the alternant of nu and rho the staircase, symmetry of f
-    gives f * a_rho = sum_e f_e a_{e + rho}, and straightening turns each
-    a_{e + rho} into zero or +-a_{lam + rho} = +-s_lam * a_rho.  So
+    Straightening turns each a_{e + rho} into zero or +-a_{lam + rho}, so
     c_lam is the signed sum of f's coefficients over the exponents e that
     straighten to lam: one pass over the terms, in time linear in their
-    number.
+    number.  Entries may be zero.
     """
-    if not f.is_symmetric():
-        raise NotSymmetric("Schur expansion needs a symmetric polynomial")
-    n = f.arity
-    staircase = rho(n)
+    staircase = rho(f.arity)
     coeffs: dict[Weight, int] = {}
     for exps, coef in f.terms.items():
         res = straighten_alternant(map(operator.add, exps, staircase))
         if res is not None:
             sign, lam = res
             coeffs[lam] = coeffs.get(lam, 0) + sign * coef
-    return SchurExpansion(n, coeffs)
+    return coeffs
+
+
+def schur_expand(f: LaurentPoly) -> SchurExpansion:
+    """Expand a symmetric Laurent polynomial in the Schur basis.
+
+    Symmetry of f gives f * a_rho = A(x^rho * f), and a_{lam + rho} =
+    s_lam * a_rho, so the alternant coefficients of f are its Schur
+    coefficients.
+    """
+    if not f.is_symmetric():
+        raise NotSymmetric("Schur expansion needs a symmetric polynomial")
+    return SchurExpansion(f.arity, _alternant_coefficients(f))

@@ -71,16 +71,6 @@ def _coeffs_to_list(items) -> list[dict[str, Any]]:
     return [{"weight": list(lam), "coef": str(coef)} for lam, coef in items]
 
 
-def _coeffs_from_list(data) -> dict[tuple[int, ...], int]:
-    coeffs: dict[tuple[int, ...], int] = {}
-    for item in _entries(data, "'coeffs'", ("weight", "coef")):
-        lam = _int_list(item["weight"], "'weight'")
-        if lam in coeffs:
-            raise ValueError(f"duplicate weight {list(lam)}")
-        coeffs[lam] = _int(item["coef"], "'coef'")
-    return coeffs
-
-
 def schur_to_dict(expansion: SchurExpansion) -> dict[str, Any]:
     return {
         "n": expansion.arity,
@@ -88,13 +78,28 @@ def schur_to_dict(expansion: SchurExpansion) -> dict[str, Any]:
     }
 
 
+def _coeffs_from_dict(data: Any, what: str, basis: str | None = None) -> tuple[int, dict]:
+    """The arity and the weight -> coefficient map of a combination JSON
+    object.  With ``basis`` given, a ``"basis"`` key must name it; an
+    absent key means that basis."""
+    n, items = _fields(data, what, ("n", "coeffs"))
+    if basis is not None and data.get("basis", basis) != basis:
+        raise ValueError(f"unsupported basis {data['basis']!r}")
+    arity = _int(n, "'n'")
+    coeffs: dict[tuple[int, ...], int] = {}
+    for item in _entries(items, "'coeffs'", ("weight", "coef")):
+        lam = _int_list(item["weight"], "'weight'")
+        if lam in coeffs:
+            raise ValueError(f"duplicate weight {list(lam)}")
+        coeffs[lam] = _int(item["coef"], "'coef'")
+    return arity, coeffs
+
+
 def schur_from_dict(data: Any) -> SchurExpansion:
-    if not isinstance(data, dict) or "n" not in data or "coeffs" not in data:
-        raise ValueError("Schur expansion JSON needs keys 'n' and 'coeffs'")
-    return SchurExpansion(_int(data["n"], "'n'"), _coeffs_from_list(data["coeffs"]))
+    return SchurExpansion(*_coeffs_from_dict(data, "Schur expansion JSON"))
 
 
-def kclass_to_dict(cls: KClass) -> dict[str, Any]:
+def kclass_to_dict(cls: SchurExpansion | KClass) -> dict[str, Any]:
     return {
         "n": cls.arity,
         "basis": "thinkac",
@@ -103,11 +108,7 @@ def kclass_to_dict(cls: KClass) -> dict[str, Any]:
 
 
 def kclass_from_dict(data: Any) -> KClass:
-    if not isinstance(data, dict) or "n" not in data or "coeffs" not in data:
-        raise ValueError("class JSON needs keys 'n' and 'coeffs'")
-    if data.get("basis", "thinkac") != "thinkac":
-        raise ValueError(f"unsupported basis {data.get('basis')!r}")
-    return KClass(_int(data["n"], "'n'"), _coeffs_from_list(data["coeffs"]))
+    return KClass(*_coeffs_from_dict(data, "class JSON", "thinkac"))
 
 
 def membership_to_dict(report: MembershipReport) -> dict[str, Any]:
@@ -128,11 +129,7 @@ def certificate_to_dict(cert: Certificate) -> dict[str, Any]:
             {
                 "rank": level.rank,
                 "lift": poly_to_dict(level.lift_part),
-                "kernel": {
-                    "n": level.kernel_coeffs.arity,
-                    "basis": "thinkac",
-                    "coeffs": _coeffs_to_list(level.kernel_coeffs.sorted_items()),
-                },
+                "kernel": kclass_to_dict(level.kernel_coeffs),
             }
             for level in cert.levels
         ],
@@ -157,12 +154,11 @@ def certificate_from_dict(data: Any) -> Certificate:
     levels = []
     for item in items:
         rank, lift, kernel = _fields(item, "certificate level", ("rank", "lift", "kernel"))
-        n, coeffs = _fields(kernel, "level 'kernel'", ("n", "coeffs"))
         levels.append(
             CertificateLevel(
                 _int(rank, "'rank'"),
                 poly_from_dict(lift),
-                SchurExpansion(_int(n, "'n'"), _coeffs_from_list(coeffs)),
+                SchurExpansion(*_coeffs_from_dict(kernel, "level 'kernel'", "thinkac")),
             )
         )
     return Certificate(tuple(levels), poly_from_dict(bottom))

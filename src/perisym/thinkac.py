@@ -10,78 +10,17 @@ reproduces multiplication by the supercharacter of the standard module.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Iterable, Mapping
 
-from .errors import NotDominant
-from .laurent import LaurentPoly, _linear_combination, grlex_key
-from .schur import denominator_factors, denominators, schur_poly
+from .laurent import LaurentPoly, _linear_combination
+from .schur import _WeightCombination, denominator_factors, denominators, schur_poly
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
-@dataclass(frozen=True)
-class KClass:
+class KClass(_WeightCombination):
     """An integer combination of thin-Kac basis symbols, keyed by
     dominant weight.  The parity-shifted module carries the negated
     symbol, so signs are part of the data."""
-
-    arity: int
-    coeffs: Mapping[Weight, int] = field(default_factory=dict)
-
-    def __post_init__(self):
-        clean = {}
-        for lam, coef in self.coeffs.items():
-            lam = tuple(int(a) for a in lam)
-            if len(lam) != self.arity:
-                raise NotDominant(f"weight {lam} does not match arity {self.arity}")
-            check_dominant(lam)
-            if coef:
-                clean[lam] = int(coef)
-        object.__setattr__(self, "coeffs", clean)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, KClass):
-            return NotImplemented
-        return self.arity == other.arity and self.coeffs == other.coeffs
-
-    def __hash__(self) -> int:
-        return hash((self.arity, frozenset(self.coeffs.items())))
-
-    def is_zero(self) -> bool:
-        return not self.coeffs
-
-    def sorted_items(self) -> list[tuple[Weight, int]]:
-        return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
-
-    def __add__(self, other: "KClass") -> "KClass":
-        if self.arity != other.arity:
-            raise NotDominant("cannot add classes of different arities")
-        out = dict(self.coeffs)
-        for lam, coef in other.coeffs.items():
-            new = out.get(lam, 0) + coef
-            if new:
-                out[lam] = new
-            else:
-                del out[lam]
-        return KClass(self.arity, out)
-
-    def __neg__(self) -> "KClass":
-        return KClass(self.arity, {lam: -c for lam, c in self.coeffs.items()})
-
-    def __sub__(self, other: "KClass") -> "KClass":
-        return self + (-other)
-
-    def __mul__(self, scalar: int) -> "KClass":
-        if not isinstance(scalar, int):
-            return NotImplemented
-        return KClass(self.arity, {lam: c * scalar for lam, c in self.coeffs.items()})
-
-    __rmul__ = __mul__
-
-    @classmethod
-    def basis(cls, lam: Iterable[int]) -> "KClass":
-        lam = check_dominant(lam)
-        return cls(len(lam), {lam: 1})
 
 
 _thin_kac_cache: dict[Weight, LaurentPoly] = {}
@@ -155,24 +94,13 @@ def theta_prime(k: int, cls: KClass, *, parity_twist: bool = False) -> KClass:
         beads = to_diagram(lam)
         if k not in beads:
             continue
-        bead_set = set(beads)
         p_lam = parity(lam)
-        if k + 1 not in bead_set:
-            mu = from_diagram(tuple(sorted((b if b != k else k + 1 for b in beads), reverse=True)))
-            sign = -1 if (p_lam + parity(mu)) % 2 else 1
-            new = out.get(mu, 0) + sign * coef
-            if new:
-                out[mu] = new
-            else:
-                del out[mu]
-        if k - 1 not in bead_set:
-            mu = from_diagram(tuple(sorted((b if b != k else k - 1 for b in beads), reverse=True)))
-            sign = -1 if (p_lam + parity(mu)) % 2 else 1
-            new = out.get(mu, 0) - sign * coef
-            if new:
-                out[mu] = new
-            else:
-                del out[mu]
+        for target, step in ((k + 1, 1), (k - 1, -1)):
+            if target not in beads:
+                mu = from_diagram(tuple(sorted((b if b != k else target for b in beads),
+                                               reverse=True)))
+                sign = -step if (p_lam + parity(mu)) % 2 else step
+                out[mu] = out.get(mu, 0) + sign * coef
     result = KClass(cls.arity, out)
     if parity_twist and k % 2:
         result = -result

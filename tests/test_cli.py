@@ -134,6 +134,26 @@ class TestCommands:
         with pytest.raises(ValueError, match=re.escape(message)):
             serialize.certificate_from_dict(data)
 
+    @pytest.mark.parametrize("read, data, message", [
+        (serialize.schur_from_dict, {"coeffs": []}, "missing key 'n'"),
+        (serialize.schur_from_dict, {"n": 2}, "missing key 'coeffs'"),
+        (serialize.kclass_from_dict, {"coeffs": []}, "missing key 'n'"),
+        (serialize.kclass_from_dict, {"n": 2, "basis": "thinkac"}, "missing key 'coeffs'"),
+        (serialize.kclass_from_dict, {"n": 1, "basis": "schur", "coeffs": []},
+         "unsupported basis 'schur'"),
+        (serialize.kclass_from_dict, [], "must be an object"),
+    ], ids=["schur-no-n", "schur-no-coeffs", "class-no-n", "class-no-coeffs",
+            "class-schur-basis", "class-list"])
+    def test_coefficient_payloads_fail_closed(self, read, data, message):
+        with pytest.raises(ValueError, match=re.escape(message)):
+            read(data)
+
+    def test_certificate_kernel_in_schur_basis_rejected(self):
+        data = serialize.certificate_to_dict(certify(sch_thin_kac((0, 0)) - 3))
+        data["levels"][0]["kernel"]["basis"] = "schur"
+        with pytest.raises(ValueError, match="unsupported basis 'schur'"):
+            serialize.certificate_from_dict(data)
+
     def test_verify_suite_single_criterion(self, capsys):
         code, out = run(capsys, "verify-suite", "--criteria", "7")
         assert code == 0

@@ -1,10 +1,13 @@
 import random
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from perisym import (
     LaurentPoly,
     LeviIncompatible,
+    SchurExpansion,
     denominators,
     ds_eval,
     ds_power,
@@ -13,7 +16,7 @@ from perisym import (
     membership,
     radical_roots,
 )
-from perisym.laurent import permutations_with_signs
+from perisym.laurent import permutations_with_signs, straighten_alternant
 from perisym.weights import rho
 
 import util
@@ -154,3 +157,56 @@ class TestEulerDsPower:
     def test_levi_guard(self):
         with pytest.raises(LeviIncompatible):
             euler_ds_power((1, 0, 0, 0), (0, 0, -1, -1), 1)
+
+
+def reference_straightened(lam, gamma) -> SchurExpansion:
+    """The Schur expansion of the Euler characteristic as computed before
+    the Euler module shared the Schur module's straightening: expand
+    x^(lam + rho) * prod_alpha (1 - x^-alpha) and straighten each term."""
+    datum = radical_roots(gamma)
+    n = datum.arity
+    numerator = LaurentPoly.monomial(n, tuple(lam[i] + (n - 1 - i) for i in range(n)))
+    for alpha in datum.odd_radical:
+        numerator = numerator * (LaurentPoly.one(n) - LaurentPoly.monomial(n, [-a for a in alpha]))
+    coeffs = {}
+    for exps, coef in numerator.terms.items():
+        res = straighten_alternant(exps)
+        if res is None:
+            continue
+        sign, mu = res
+        new = coeffs.get(mu, 0) + sign * coef
+        if new:
+            coeffs[mu] = new
+        else:
+            del coeffs[mu]
+    return SchurExpansion(n, coeffs)
+
+
+@st.composite
+def levi_compatible(draw):
+    """(lam, gamma) with n <= 4 and entries in [-2, 2], lam constant on
+    each class of indices the Levi ties together: equal gamma entries and
+    zero-sum gamma pairs."""
+    n = draw(st.integers(1, 4))
+    gamma = tuple(draw(st.lists(st.integers(-2, 2), min_size=n, max_size=n)))
+    component = list(range(n))
+    for i in range(n):
+        for j in range(i + 1, n):
+            if gamma[i] == gamma[j] or gamma[i] + gamma[j] == 0:
+                old, new = component[j], component[i]
+                component = [new if c == old else c for c in component]
+    values = {c: draw(st.integers(-2, 2)) for c in sorted(set(component))}
+    return tuple(values[c] for c in component), gamma
+
+
+@settings(max_examples=100, deadline=None)
+@given(levi_compatible())
+def test_euler_matches_reference_straightening(case):
+    lam, gamma = case
+    poly, expansion = euler_characteristic(lam, gamma)
+    assert expansion == reference_straightened(lam, gamma)
+    # Only a decreasing gamma gives a supersymmetric result, on which the
+    # evaluation map is defined.
+    if list(gamma) == sorted(gamma, reverse=True):
+        for k in range(1, len(lam) // 2 + 1):
+            assert euler_ds_power(lam, gamma, k) == ds_power(poly, k)

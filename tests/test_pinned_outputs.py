@@ -6,15 +6,33 @@ The other tests check that a lift evaluates to its target; these pin
 to the linear algebra that alters a pivot shows up here.  The digests
 were recorded before the echelon heap and the orbit-column build were
 reworked, and the outputs must stay bit-identical.
+
+The CLI pins hash the raw stdout bytes of one ``perisym`` process per
+command on fixed payloads; they were recorded before the Schur and
+thin-Kac combination types were merged.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
+import os
 import random
+import subprocess
+import sys
+from pathlib import Path
 
-from perisym import LaurentPoly, certify, ds_eval, lift_window, membership_window_basis
+import perisym
+from perisym import (
+    KClass,
+    LaurentPoly,
+    certify,
+    ds_eval,
+    lift_window,
+    membership_window_basis,
+    sch_standard,
+    sch_thin_kac,
+)
 from perisym import serialize
 
 
@@ -88,3 +106,38 @@ def test_membership_window_bases():
     }
     assert digest(bases) == (
         "b16c4422623f8c785877df388af44d5c1fa3bf4946dfbf028fd0592508acabf5")
+
+
+def cli_stdout_digest(*argv: str) -> str:
+    """SHA-256 of the stdout bytes of ``python -m perisym.cli ARGV``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(perisym.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "perisym.cli", *argv],
+                          capture_output=True, env=env, check=True)
+    return hashlib.sha256(proc.stdout).hexdigest()
+
+
+def test_cli_euler_stdout():
+    assert cli_stdout_digest(
+        "euler", "--n", "4", "--gamma", "0,0,-1,-1", "--lambda", "a,a,0,0", "--a", "1",
+    ) == "2c2487ccfa2e6eea9cec6d930a8bab09478e8664b18bd5a22071f55600770e47"
+
+
+def test_cli_kernel_decompose_stdout():
+    f = sch_thin_kac((1, 0, 0)) - 2 * sch_thin_kac((0, 0, -1)) + 3 * sch_thin_kac((2, 1, 1))
+    payload = json.dumps(serialize.poly_to_dict(f))
+    assert cli_stdout_digest("kernel-decompose", "--n", "3", "-f", payload) == (
+        "7f04b07b20336583776ac3f09d4ae301d754a8c0956c6fcdf4ac825720cee4fd")
+
+
+def test_cli_theta_stdout():
+    cls = KClass(3, {(1, 0, 0): 2, (0, 0, -1): -1, (2, 1, 0): 3, (0, -1, -1): 1})
+    payload = json.dumps(serialize.kclass_to_dict(cls))
+    assert cli_stdout_digest("theta", "--k", "0", "-f", payload) == (
+        "0d3b6c9fbc78cdded45eb48aae9e82308f21dd8ec46791c71941a6401b9d8ca1")
+
+
+def test_cli_certify_stdout():
+    f = sch_thin_kac((1, 0, 0, 0)) + sch_standard(4) - 2
+    payload = json.dumps(serialize.poly_to_dict(f))
+    assert cli_stdout_digest("certify", "--n", "4", "-f", payload) == (
+        "506caaebe96edf5407a837f7d7e4a31f4b8f9fff89c5326de0f8d54acea13139")
