@@ -48,6 +48,15 @@ def membership(f: LaurentPoly) -> MembershipReport:
     return MembershipReport(symmetric, witness is None, witness)
 
 
+def _check_member(f: LaurentPoly) -> None:
+    """Raise :class:`NotSymmetric` or :class:`NotMember` unless f is in J_n."""
+    report = membership(f)
+    if not report.symmetric:
+        raise NotSymmetric("not a symmetric Laurent polynomial")
+    if not report.t_independent:
+        raise NotMember("not supersymmetric", witness=report.witness)
+
+
 def ds_eval(f: LaurentPoly) -> LaurentPoly:
     """Evaluate x_{n-1} = t, x_n = t^{-1} and drop t.
 
@@ -91,11 +100,7 @@ def kernel_decompose(f: LaurentPoly) -> SchurExpansion:
     n = f.arity
     if n < 2:
         raise ArityMismatch("kernel decomposition needs at least two variables")
-    report = membership(f)
-    if not report.symmetric:
-        raise NotSymmetric("kernel decomposition needs a symmetric polynomial")
-    if not report.t_independent:
-        raise NotMember("polynomial is not supersymmetric", witness=report.witness)
+    _check_member(f)
     if not ds_eval(f).is_zero():
         raise NotInKernel("the evaluation image is nonzero")
     quotient = f

@@ -9,11 +9,12 @@ line bundle on the flag supervariety is computed by expanding
     x^(lam + rho) * prod_{alpha in odd radical} (1 - x^(-alpha))
 
 and straightening every monomial to a signed Schur contribution.  The
-result is symmetric and supersymmetric.
+result is symmetric, and supersymmetric when gamma is weakly decreasing.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Iterable
 
@@ -21,7 +22,7 @@ from .errors import ArityMismatch, LeviIncompatible, NotMember
 from .laurent import LaurentPoly, permutations_with_signs
 from .schur import SchurExpansion, _alternant_coefficients
 from .weights import Weight, rho
-from .dsmap import ds_eval
+from .dsmap import ds_power
 
 RootVector = tuple[int, ...]
 
@@ -46,7 +47,7 @@ class ParabolicDatum:
 
 def radical_roots(gamma: Iterable[int]) -> ParabolicDatum:
     """Compute the radical root sets and Levi blocks for gamma."""
-    gamma = tuple(int(g) for g in gamma)
+    gamma = tuple(map(operator.index, gamma))
     n = len(gamma)
     even = []
     odd = []
@@ -103,8 +104,15 @@ def _check_levi(lam: Weight, datum: ParabolicDatum) -> None:
                 )
 
 
-def _straightened(lam: Weight, datum: ParabolicDatum) -> SchurExpansion:
+def _expansion(lam: Iterable[int], gamma: Iterable[int]) -> SchurExpansion:
+    """The Schur expansion of the Euler characteristic for (lam, gamma),
+    after checking the lengths and the Levi condition."""
+    lam = tuple(map(operator.index, lam))
+    datum = radical_roots(gamma)
     n = datum.arity
+    if len(lam) != n:
+        raise ArityMismatch("lam and gamma must have the same length")
+    _check_levi(lam, datum)
     numerator = LaurentPoly.monomial(n, lam)
     for alpha in datum.odd_radical:
         numerator = numerator * (LaurentPoly.one(n) - LaurentPoly.monomial(n, [-a for a in alpha]))
@@ -118,15 +126,10 @@ def euler_characteristic(
 
     Returns both the Laurent polynomial and its Schur expansion.  Raises
     :class:`LeviIncompatible` when lam is not constant on the blocks of
-    gamma.
+    gamma.  The result is supersymmetric when gamma is weakly
+    decreasing; for other gamma it is symmetric but need not lie in J_n.
     """
-    lam = tuple(int(a) for a in lam)
-    gamma = tuple(int(g) for g in gamma)
-    if len(lam) != len(gamma):
-        raise ArityMismatch("lam and gamma must have the same length")
-    datum = radical_roots(gamma)
-    _check_levi(lam, datum)
-    expansion = _straightened(lam, datum)
+    expansion = _expansion(lam, gamma)
     return expansion.to_poly(), expansion
 
 
@@ -140,19 +143,13 @@ def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentP
     This avoids materializing the full Euler characteristic, whose term
     count grows quickly with the arity, and is exact at every step.
     """
-    lam = tuple(int(a) for a in lam)
-    gamma = tuple(int(g) for g in gamma)
-    if len(lam) != len(gamma):
-        raise ArityMismatch("lam and gamma must have the same length")
-    datum = radical_roots(gamma)
-    _check_levi(lam, datum)
-    n = datum.arity
+    expansion = _expansion(lam, gamma)
+    n = expansion.arity
     if k == 0:
-        return euler_characteristic(lam, gamma)[0]
+        return expansion.to_poly()
     if not 1 <= k <= n // 2:
         raise ArityMismatch(f"cannot apply the evaluation {k} times at arity {n}")
 
-    expansion = _straightened(lam, datum)
     perms = permutations_with_signs(n)
     staircase = rho(n)
     # Slice of the antisymmetrized numerator, in variables
@@ -187,7 +184,4 @@ def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentP
                 witness=(exps[m - 1], exps[: m - 1]),
             )
         reduced[exps[: m - 1]] = coef
-    out = LaurentPoly(n - 2, reduced)
-    for _ in range(k - 1):
-        out = ds_eval(out)
-    return out
+    return ds_power(LaurentPoly(n - 2, reduced), k - 1)

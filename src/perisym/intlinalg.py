@@ -195,12 +195,7 @@ class EchelonSystem:
             if rem:
                 raise NonIntegral(f"pivot at row {row!r} does not divide")
             d[ci] = q
-            for r, val in self.cols[ci].items():
-                new = b.get(r, 0) - q * val
-                if new:
-                    b[r] = new
-                else:
-                    b.pop(r, None)
+            _axpy(b, self.cols[ci], -q)
         if b:
             row = sorted(b)[0]
             raise Infeasible(f"residual at row {row!r}")

@@ -49,7 +49,7 @@ class LaurentPoly:
         clean: dict[tuple[int, ...], int] = {}
         if terms:
             for exps, coef in terms.items():
-                exps = tuple(int(e) for e in exps)
+                exps = tuple(map(operator.index, exps))
                 if len(exps) != arity:
                     raise ArityMismatch(
                         f"exponent vector {exps} has length {len(exps)}, expected {arity}"
@@ -84,15 +84,15 @@ class LaurentPoly:
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "LaurentPoly":
-        value = int(value)
+        value = operator.index(value)
         return cls._raw(arity, {(0,) * arity: value} if value else {})
 
     @classmethod
     def monomial(cls, arity: int, exps: Iterable[int], coef: int = 1) -> "LaurentPoly":
-        exps = tuple(int(e) for e in exps)
+        exps = tuple(map(operator.index, exps))
         if len(exps) != arity:
             raise ArityMismatch(f"exponent vector {exps} does not match arity {arity}")
-        coef = int(coef)
+        coef = operator.index(coef)
         return cls._raw(arity, {exps: coef} if coef else {})
 
     @classmethod
@@ -613,7 +613,7 @@ def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 def monomial_orbit_sum(arity: int, weight: Iterable[int]) -> LaurentPoly:
     """The monomial symmetric Laurent polynomial m_weight: the sum of
     x^mu over the distinct permutations mu of ``weight``."""
-    weight = tuple(int(w) for w in weight)
+    weight = tuple(map(operator.index, weight))
     if len(weight) != arity:
         raise ArityMismatch(f"weight {weight} does not match arity {arity}")
     terms = {exps: 1 for exps in set(itertools.permutations(weight))}

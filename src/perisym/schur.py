@@ -41,7 +41,7 @@ class _WeightCombination:
     def __post_init__(self):
         clean = {}
         for lam, coef in self.coeffs.items():
-            lam = tuple(int(a) for a in lam)
+            lam = tuple(map(operator.index, lam))
             if len(lam) != self.arity:
                 raise NotDominant(f"weight {lam} does not match arity {self.arity}")
             check_dominant(lam)
@@ -116,9 +116,7 @@ def denominator_factors(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentP
     return tuple(r_factors), tuple(v_factors)
 
 
-_denominator_cache: dict[int, tuple[LaurentPoly, LaurentPoly]] = {}
-
-
+@functools.cache
 def denominators(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     """The pair (R, V) of denominator products in n variables:
     R = prod_{i<j} (1 - x_i x_j) and V = prod_{i<j} (x_i - x_j).
@@ -126,31 +124,25 @@ def denominators(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     R is symmetric; V (the Vandermonde) is alternating.  Both are the
     empty product 1 when n <= 1.
     """
-    if n not in _denominator_cache:
-        products = []
-        for factors in denominator_factors(n):
-            out = LaurentPoly.one(n)
-            for factor in factors:
-                out = out * factor
-            products.append(out)
-        _denominator_cache[n] = tuple(products)
-    return _denominator_cache[n]
+    products = []
+    for factors in denominator_factors(n):
+        out = LaurentPoly.one(n)
+        for factor in factors:
+            out = out * factor
+        products.append(out)
+    return tuple(products)
 
 
 def alternant(nu: Iterable[int]) -> LaurentPoly:
     """The alternating sum over the symmetric group of signed monomials
     x^{w(nu)}.  Vanishes when nu has a repeated entry."""
-    nu = tuple(int(a) for a in nu)
+    nu = tuple(map(operator.index, nu))
     n = len(nu)
-    terms: dict[tuple[int, ...], int] = {}
-    for perm, sign in permutations_with_signs(n):
-        exps = tuple(nu[p] for p in perm)
-        new = terms.get(exps, 0) + sign
-        if new:
-            terms[exps] = new
-        else:
-            del terms[exps]
-    return LaurentPoly._raw(n, terms)
+    if len(set(nu)) < n:
+        return LaurentPoly.zero(n)
+    return LaurentPoly._raw(n, {
+        tuple(nu[p] for p in perm): sign for perm, sign in permutations_with_signs(n)
+    })
 
 
 _schur_cache: dict[Weight, LaurentPoly] = {}

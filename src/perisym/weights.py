@@ -10,6 +10,7 @@ tuple determines a dominant weight.
 from __future__ import annotations
 
 import itertools
+import operator
 from typing import Iterable, Iterator
 
 from .errors import BeadCollision, NotDominant
@@ -28,7 +29,7 @@ def is_dominant(lam: Iterable[int]) -> bool:
 
 
 def check_dominant(lam: Iterable[int]) -> Weight:
-    lam = tuple(int(a) for a in lam)
+    lam = tuple(map(operator.index, lam))
     if not is_dominant(lam):
         raise NotDominant(f"{lam} is not weakly decreasing")
     return lam
@@ -52,7 +53,7 @@ def to_diagram(lam: Iterable[int]) -> Weight:
 
 def from_diagram(beads: Iterable[int]) -> Weight:
     """Dominant weight whose diagram has the given bead positions."""
-    beads = tuple(int(b) for b in beads)
+    beads = tuple(map(operator.index, beads))
     for i in range(len(beads) - 1):
         if beads[i] <= beads[i + 1]:
             raise BeadCollision(f"bead positions {beads} are not strictly decreasing")

@@ -15,6 +15,10 @@ from perisym import (
     SchurExpansion,
 )
 from perisym import serialize
+from perisym.euler import euler_characteristic
+from perisym.laurent import monomial_orbit_sum
+from perisym.schur import alternant
+from perisym.weights import check_dominant, from_diagram
 
 BASES = [SchurExpansion, KClass]
 
@@ -90,6 +94,26 @@ def test_constructors_reject_inexact_coefficients():
     with pytest.raises(TypeError):
         SchurExpansion(1, {(0,): 2.0})
     assert LaurentPoly(1, {(1,): True}) == LaurentPoly(1, {(1,): 1})
+
+
+@pytest.mark.parametrize("build", [
+    lambda: LaurentPoly.monomial(1, (1,), 2.9),
+    lambda: LaurentPoly.constant(1, 2.9),
+    lambda: LaurentPoly.monomial(1, (1.7,)),
+    lambda: LaurentPoly(1, {(1.7,): 1}),
+    lambda: monomial_orbit_sum(2, (1.7, 0)),
+    lambda: alternant((1.7, 0)),
+    lambda: KClass(1, {(1.7,): 1}),
+    lambda: check_dominant((1.7, 0)),
+    lambda: from_diagram((2.5, 0)),
+    lambda: euler_characteristic((1.7, 0), (0, 0)),
+    lambda: euler_characteristic((0, 0), (1.7, 0)),
+], ids=["monomial-coef", "constant", "monomial-exp", "init-exp", "orbit-sum",
+        "alternant", "combination-weight", "dominant", "diagram",
+        "euler-lam", "euler-gamma"])
+def test_constructors_reject_inexact_exponents_and_weights(build):
+    with pytest.raises(TypeError):
+        build()
 
 
 class TestRoundTrips:

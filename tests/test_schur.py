@@ -14,7 +14,7 @@ from perisym import (
     schur_expand,
     schur_poly,
 )
-from perisym.laurent import monomial_orbit_sum
+from perisym.laurent import monomial_orbit_sum, permutations_with_signs
 from perisym.schur import alternant
 from perisym.weights import rho
 
@@ -81,6 +81,41 @@ class TestDenominators:
         # The signed staircase orbit sum equals the Vandermonde product.
         for m in range(0, 7):
             assert alternant(rho(m)) == denominators(m)[1]
+
+
+def reference_alternant(nu) -> LaurentPoly:
+    """The alternant as first written: every signed permuted monomial
+    added into one dict, zeros dropped as they appear."""
+    n = len(nu)
+    terms = {}
+    for perm, sign in permutations_with_signs(n):
+        exps = tuple(nu[p] for p in perm)
+        new = terms.get(exps, 0) + sign
+        if new:
+            terms[exps] = new
+        else:
+            del terms[exps]
+    return LaurentPoly(n, terms)
+
+
+exponent_vectors = st.integers(0, 5).flatmap(
+    lambda n: st.lists(st.integers(-4, 4), min_size=n, max_size=n).map(tuple))
+
+
+class TestAlternant:
+    @settings(max_examples=200, deadline=None)
+    @given(exponent_vectors)
+    def test_matches_accumulating_reference(self, nu):
+        assert alternant(nu) == reference_alternant(nu)
+
+    @settings(max_examples=100, deadline=None)
+    @given(exponent_vectors.filter(lambda nu: len(nu) >= 2), st.data())
+    def test_repeated_entry_gives_zero(self, nu, data):
+        i, j = data.draw(st.lists(st.integers(0, len(nu) - 1), min_size=2, max_size=2,
+                                  unique=True))
+        nu = list(nu)
+        nu[j] = nu[i]
+        assert alternant(nu).is_zero()
 
 
 class TestSchurExpand:
