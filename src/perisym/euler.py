@@ -18,10 +18,10 @@ import operator
 from dataclasses import dataclass
 from typing import Iterable
 
-from .errors import ArityMismatch, LeviIncompatible, NotMember
-from .laurent import LaurentPoly, permutations_with_signs
+from .errors import ArityMismatch, LeviIncompatible
+from .laurent import LaurentPoly
 from .schur import SchurExpansion, _alternant_coefficients
-from .weights import Weight, rho
+from .weights import Weight
 from .dsmap import ds_power
 
 RootVector = tuple[int, ...]
@@ -134,54 +134,10 @@ def euler_characteristic(
 
 
 def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentPoly:
-    """The k-fold evaluation image of the Euler characteristic.
+    """The k-fold evaluation image of the Euler characteristic:
+    ``ds_power(euler_characteristic(lam, gamma)[0], k)``.
 
-    Computes the same polynomial as ``ds_power(euler_characteristic(lam,
-    gamma)[0], k)`` but performs the first evaluation on the alternant
-    numerator, dividing the sliced numerator by the binomial factors of the
-    sliced Vandermonde.
-    This avoids materializing the full Euler characteristic, whose term
-    count grows quickly with the arity, and is exact at every step.
+    Raises :class:`LeviIncompatible` as :func:`euler_characteristic` does,
+    and :class:`ArityMismatch` unless 0 <= k <= n // 2.
     """
-    expansion = _expansion(lam, gamma)
-    n = expansion.arity
-    if k == 0:
-        return expansion.to_poly()
-    if not 1 <= k <= n // 2:
-        raise ArityMismatch(f"cannot apply the evaluation {k} times at arity {n}")
-
-    perms = permutations_with_signs(n)
-    staircase = rho(n)
-    # Slice of the antisymmetrized numerator, in variables
-    # (y_1, ..., y_{n-2}, t): exponent of t is e_{n-1} - e_n.
-    sliced: dict[tuple[int, ...], int] = {}
-    for mu, coef in expansion.coeffs.items():
-        nu = tuple(mu[i] + staircase[i] for i in range(n))
-        for perm, sign in perms:
-            e = tuple(nu[p] for p in perm)
-            key = e[: n - 2] + (e[n - 2] - e[n - 1],)
-            new = sliced.get(key, 0) + sign * coef
-            if new:
-                sliced[key] = new
-            else:
-                del sliced[key]
-    numerator = LaurentPoly(n - 1, sliced)
-
-    m = n - 1  # reduced ring: y_1..y_{n-2}, then t
-    ys = [LaurentPoly.variable(m, i + 1) for i in range(n - 2)]
-    t_up, t_down = LaurentPoly.variable(m, m), LaurentPoly.variable(m, m, -1)
-    factors = [ys[i] - ys[j] for i in range(n - 2) for j in range(i + 1, n - 2)]
-    factors += [y - t for y in ys for t in (t_up, t_down)]
-    factors.append(t_up - t_down)
-    quotient = numerator
-    for factor in factors:
-        quotient = quotient.exact_divide(factor)
-    reduced: dict[tuple[int, ...], int] = {}
-    for exps, coef in quotient.terms.items():
-        if exps[m - 1]:
-            raise NotMember(
-                f"t-dependent slice term with t-exponent {exps[m - 1]}",
-                witness=(exps[m - 1], exps[: m - 1]),
-            )
-        reduced[exps[: m - 1]] = coef
-    return ds_power(LaurentPoly(n - 2, reduced), k - 1)
+    return ds_power(_expansion(lam, gamma).to_poly(), k)

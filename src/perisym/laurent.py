@@ -198,6 +198,10 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
+        if len(other.terms) == 2:
+            return _multiply_by_binomial(self, other)
+        if len(self.terms) == 2:
+            return _multiply_by_binomial(other, self)
         a, b = self.terms, other.terms
         if len(a) > len(b):
             a, b = b, a
@@ -274,17 +278,13 @@ class LaurentPoly:
         if i == j or not (1 <= i <= n) or not (1 <= j <= n):
             raise BadIndices(f"bad substitution pair ({i}, {j}) for arity {n}")
         a, b = i - 1, j - 1
+        lo, hi = min(a, b), max(a, b)
         terms: dict[tuple[int, tuple[int, ...]], int] = {}
+        get = terms.get
         for exps, coef in self.terms.items():
-            t_exp = exps[a] - exps[b]
-            reduced = tuple(e for k, e in enumerate(exps) if k != a and k != b)
-            key = (t_exp, reduced)
-            new = terms.get(key, 0) + coef
-            if new:
-                terms[key] = new
-            else:
-                del terms[key]
-        return TSlice(n, (i, j), terms)
+            key = (exps[a] - exps[b], exps[:lo] + exps[lo + 1:hi] + exps[hi + 1:])
+            terms[key] = get(key, 0) + coef
+        return TSlice(n, (i, j), {key: c for key, c in terms.items() if c})
 
     # -- exact division ---------------------------------------------------
 
@@ -344,6 +344,32 @@ def _linear_combination(arity: int, items: Iterable[tuple[int, LaurentPoly]]) ->
             for exps, c in poly.terms.items():
                 out[exps] = get(exps, 0) + coef * c
     return LaurentPoly._raw(arity, {e: c for e, c in out.items() if c})
+
+
+def _multiply_by_binomial(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The product of f and ``g = c1 x^u + c2 x^v``.
+
+    Each term of f is copied once per term of g, and only the
+    coordinates where u or v is nonzero are adjusted: none or two for the
+    ``1 - x_i x_j`` of R, one each for the ``x_i - x_j`` of V.  A first
+    term 1 of g is a plain copy of f.  The generic product instead adds full
+    exponent tuples for every pair of terms.
+    """
+    out: dict[tuple[int, ...], int] = {}
+    get = out.get
+    for u, cu in g.terms.items():
+        moved = [(k, a) for k, a in enumerate(u) if a]
+        if not out and not moved and cu == 1:
+            out.update(f.terms)
+            continue
+        for e, c in f.terms.items():
+            if moved:
+                e = list(e)
+                for k, a in moved:
+                    e[k] += a
+                e = tuple(e)
+            out[e] = get(e, 0) + cu * c
+    return LaurentPoly._raw(f.arity, {e: c for e, c in out.items() if c})
 
 
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:

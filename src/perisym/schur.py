@@ -1,17 +1,23 @@
 """Schur Laurent polynomials and expansion of symmetric polynomials.
 
-``schur_poly`` computes the character of the gl(n)-irreducible with a
-given dominant highest weight (negative entries allowed) as a bialternant:
-the alternant sum for ``lam + rho`` divided exactly by the Vandermonde.
+``schur_poly`` computes the character s_lam of the gl(n)-irreducible with
+a given dominant highest weight (negative entries allowed) from its
+dominant coefficients: the coefficient of x^nu for weakly decreasing nu is
+the Kostka number K(lam, nu), which the branching rule gives by restricting
+to one variable fewer at a time, and symmetry copies it to every
+permutation of nu.  No polynomial division is involved.
 ``schur_expand`` inverts this by straightening: for symmetric q,
 q * a_rho is the antisymmetrization of x^rho * q, so every term of q
 contributes one signed alternant a_{lam + rho} and no Schur polynomial is
-built.
+built.  ``alternant`` and ``denominators`` give the pieces of the
+bialternant formula s_lam = a_{lam + rho} / a_rho, which other modules and
+the checks in ``verify`` use.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import operator
 from dataclasses import dataclass, field
 from typing import Iterable, Mapping
@@ -148,29 +154,61 @@ def alternant(nu: Iterable[int]) -> LaurentPoly:
 _schur_cache: dict[Weight, LaurentPoly] = {}
 
 
+def _dominant_coefficients(lam: Weight) -> dict[Weight, int]:
+    """The coefficients of s_lam at its weakly decreasing exponents nu:
+    the Kostka numbers K(lam, nu), by the branching rule.
+
+    In k variables the branching rule reads
+    s_lam = sum_{lam'} x_k^{|lam| - |lam'|} s_{lam'}(x_1, ..., x_{k-1}) over
+    the lam' interlacing lam (lam_{i+1} <= lam'_i <= lam_i), so
+    K(lam, nu) = sum K(lam', nu[:-1]) over interlacing lam' with
+    |lam'| = |lam| - nu_k; negative entries are allowed.  All nu of one
+    lam are found together.  Their last entry nu_k is at least a floor
+    (nu_{k+1}, as nu is weakly decreasing; lam_n at the top) and at most
+    |lam| / k (it is the smallest entry).  The upper bound also makes the
+    entry of a one-entry lam' at least its floor, so that base case needs
+    no check.  The memo, keyed by (lam', floor), lives only for this call.
+    """
+    memo: dict[tuple[Weight, int], dict[Weight, int]] = {}
+
+    def kostka(lam: Weight, floor: int) -> dict[Weight, int]:
+        if len(lam) < 2:
+            return {lam: 1}
+        out = memo.get((lam, floor))
+        if out is None:
+            out = {}
+            total = sum(lam)
+            top = total // len(lam)
+            for inner in itertools.product(*map(range, lam[1:], (a + 1 for a in lam))):
+                last = total - sum(inner)
+                if floor <= last <= top:
+                    for nu, coef in kostka(inner, last).items():
+                        nu += (last,)
+                        out[nu] = out.get(nu, 0) + coef
+            memo[lam, floor] = out
+        return out
+
+    return kostka(lam, min(lam, default=0))
+
+
 def schur_poly(lam: Iterable[int]) -> LaurentPoly:
     """The Schur Laurent polynomial s_lam for a dominant weight lam.
 
-    Entries may be negative: s_lam = (x_1...x_n)^{lam_n} * s_{lam - lam_n}
-    reduces to a partition, whose bialternant numerator is divided exactly
-    by the Vandermonde, factor by factor.
+    Entries may be negative.  s_lam is symmetric, so its coefficient at
+    any exponent is its coefficient at the sorted exponent: the Kostka
+    number K(lam, nu) from :func:`_dominant_coefficients` is written at
+    every permutation of each weakly decreasing exponent nu (the n!
+    permutations repeat when nu has equal entries).  Results are cached
+    by lam.
     """
     lam = check_dominant(lam)
     cached = _schur_cache.get(lam)
     if cached is not None:
         return cached
-    n = len(lam)
-    if n == 0:
-        result = LaurentPoly.one(0)
-    else:
-        shift = lam[-1]
-        mu = tuple(a - shift for a in lam)
-        nu = tuple(mu[i] + (n - 1 - i) for i in range(n))
-        result = alternant(nu)
-        for binom in denominator_factors(n)[1]:
-            result = result.exact_divide(binom)
-        if shift:
-            result = result * LaurentPoly.monomial(n, (shift,) * n)
+    terms: dict[tuple[int, ...], int] = {}
+    for nu, coef in _dominant_coefficients(lam).items():
+        terms.update(zip(itertools.permutations(nu), itertools.repeat(coef)))
+    result = LaurentPoly._raw(len(lam), terms)
     _schur_cache[lam] = result
     return result
 

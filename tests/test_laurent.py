@@ -11,7 +11,7 @@ from perisym import (
     monomial_orbit_sum,
     straighten_alternant,
 )
-from perisym.laurent import _divide_by_heap, grlex_key
+from perisym.laurent import _divide_by_heap, _multiply_by_binomial, grlex_key
 from perisym.schur import denominator_factors, denominators, schur_poly
 
 import util
@@ -268,3 +268,59 @@ class TestBinomialDivision:
                 for factor in factors:
                     quotient = quotient.exact_divide(factor)
                 assert quotient == LaurentPoly.one(n)
+
+
+# -- the two-term path of __mul__, against the term-pair product ------------
+
+
+def reference_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
+    """The product summed over all term pairs, zeros dropped at the end."""
+    out = {}
+    for ea, ca in f.terms.items():
+        for eb, cb in g.terms.items():
+            e = tuple(a + b for a, b in zip(ea, eb))
+            out[e] = out.get(e, 0) + ca * cb
+    return LaurentPoly(f.arity, out)
+
+
+class TestBinomialMultiply:
+    @settings(max_examples=300, deadline=None)
+    @given(poly_and_binomial())
+    def test_matches_term_pair_product(self, case):
+        f, g = case
+        expected = reference_product(f, g)
+        assert _multiply_by_binomial(f, g) == expected
+        assert f * g == expected
+        assert g * f == expected
+
+    @settings(max_examples=100, deadline=None)
+    @given(poly_and_binomial())
+    def test_no_zero_coefficients(self, case):
+        f, g = case
+        assert all(_multiply_by_binomial(f, g).terms.values())
+
+    def test_cancellation(self):
+        # (1 + x) * (1 - x) leaves no x term.
+        assert _multiply_by_binomial(1 + x1, 1 - x1).terms == {(0,): 1, (2,): -1}
+
+
+def reference_substitute_pair(f: LaurentPoly, i: int, j: int) -> dict:
+    """Slice terms built coordinate by coordinate."""
+    a, b = i - 1, j - 1
+    out = {}
+    for exps, coef in f.terms.items():
+        key = (exps[a] - exps[b], tuple(e for k, e in enumerate(exps) if k not in (a, b)))
+        out[key] = out.get(key, 0) + coef
+    return {key: c for key, c in out.items() if c}
+
+
+class TestSubstitutePairProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-5, 5), max_size=8),
+        st.lists(st.integers(1, n), min_size=2, max_size=2, unique=True),
+        st.just(n))))
+    def test_matches_coordinate_reference(self, case):
+        terms, (i, j), n = case
+        f = LaurentPoly(n, terms)
+        assert f.substitute_pair(i, j).terms == reference_substitute_pair(f, i, j)

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings
@@ -15,7 +16,7 @@ from perisym import (
     schur_poly,
 )
 from perisym.laurent import monomial_orbit_sum, permutations_with_signs
-from perisym.schur import alternant
+from perisym.schur import _schur_cache, alternant, denominator_factors
 from perisym.weights import rho
 
 import util
@@ -51,6 +52,86 @@ class TestSchurPoly:
         for n in (1, 2, 3, 4):
             for lam in itertools.combinations_with_replacement(range(4, -5, -1), n):
                 assert schur_poly(lam) == util.schur_bialternant_oracle(lam)
+
+
+def reference_schur_by_division(lam) -> LaurentPoly:
+    """s_lam by the bialternant route: the alternant of mu + rho, for the
+    partition mu = lam - lam_n, divided exactly by the C(n,2) factors
+    x_i - x_j of the Vandermonde, then shifted by (x_1...x_n)^{lam_n}."""
+    n = len(lam)
+    if n == 0:
+        return LaurentPoly.one(0)
+    shift = lam[-1]
+    quotient = alternant([a - shift + r for a, r in zip(lam, rho(n))])
+    for factor in denominator_factors(n)[1]:
+        quotient = quotient.exact_divide(factor)
+    return times_power_of_product(quotient, shift)
+
+
+def times_power_of_product(f: LaurentPoly, c: int) -> LaurentPoly:
+    """(x_1...x_n)^c * f, shifting every exponent, so no product code runs."""
+    return LaurentPoly(f.arity, {tuple(e + c for e in exps): coef
+                                 for exps, coef in f.terms.items()})
+
+
+def weyl_dimension(lam) -> int:
+    """prod_{i<j} (lam_i - lam_j + j - i) / (j - i)."""
+    n = len(lam)
+    out = Fraction(1)
+    for i in range(n):
+        for j in range(i + 1, n):
+            out *= Fraction(lam[i] - lam[j] + j - i, j - i)
+    assert out.denominator == 1
+    return out.numerator
+
+
+def dominant_weights(max_arity: int, low: int, high: int):
+    """Weakly decreasing weights of arity 0..max_arity with entries in
+    [low, high]."""
+    return st.integers(0, max_arity).flatmap(
+        lambda n: st.lists(st.integers(low, high), min_size=n, max_size=n)
+    ).map(lambda entries: tuple(sorted(entries, reverse=True)))
+
+
+def fresh_schur_poly(lam) -> LaurentPoly:
+    """schur_poly computed now, not read from the cache."""
+    _schur_cache.pop(tuple(lam), None)
+    return schur_poly(lam)
+
+
+class TestSchurPolyBranching:
+    @settings(max_examples=150, deadline=None)
+    @given(dominant_weights(6, -3, 4))
+    def test_matches_division_reference(self, lam):
+        assert fresh_schur_poly(lam) == reference_schur_by_division(lam)
+
+    @settings(max_examples=150, deadline=None)
+    @given(dominant_weights(6, -4, 5))
+    def test_value_at_ones_is_weyl_dimension(self, lam):
+        poly = fresh_schur_poly(lam)
+        assert sum(poly.terms.values()) == weyl_dimension(lam)
+        assert all(c > 0 for c in poly.terms.values())
+
+    def test_arity_zero(self):
+        assert fresh_schur_poly(()) == LaurentPoly.one(0)
+
+    def test_arity_one_is_a_monomial(self):
+        for a in (-3, 0, 1, 4):
+            assert fresh_schur_poly((a,)) == LaurentPoly.monomial(1, (a,))
+
+    def test_all_equal_is_a_power_of_the_product(self):
+        for n in range(1, 7):
+            for a in (-2, 0, 3):
+                assert fresh_schur_poly((a,) * n) == LaurentPoly.monomial(n, (a,) * n)
+
+    def test_shift_multiplies_by_the_product(self):
+        rng = random.Random(7)
+        for _ in range(30):
+            n = rng.randint(1, 5)
+            lam = tuple(sorted((rng.randint(-3, 3) for _ in range(n)), reverse=True))
+            c = rng.randint(-5, 5)
+            shifted = tuple(a + c for a in lam)
+            assert fresh_schur_poly(shifted) == times_power_of_product(fresh_schur_poly(lam), c)
 
 
 class TestDenominators:
