@@ -198,24 +198,25 @@ class LaurentPoly:
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
-        if len(other.terms) == 2:
-            return _multiply_by_binomial(self, other)
-        if len(self.terms) == 2:
-            return _multiply_by_binomial(other, self)
-        a, b = self.terms, other.terms
-        if len(a) > len(b):
-            a, b = b, a
+        # Each term of the larger operand is copied once per term u of the
+        # smaller one, and only the coordinates where u is nonzero are
+        # adjusted: none or two for the 1 - x_i x_j of R, one for each term
+        # of the x_i - x_j of the Vandermonde.  Zeros are dropped at the end.
+        f, g = self.terms, other.terms
+        if len(f) < len(g):
+            f, g = g, f
         out: dict[tuple[int, ...], int] = {}
         get = out.get
-        for ea, ca in a.items():
-            for eb, cb in b.items():
-                e = tuple(map(operator.add, ea, eb))
-                new = get(e, 0) + ca * cb
-                if new:
-                    out[e] = new
-                else:
-                    del out[e]
-        return LaurentPoly._raw(self.arity, out)
+        for u, cu in g.items():
+            moved = [(k, a) for k, a in enumerate(u) if a]
+            for e, c in f.items():
+                if moved:
+                    e = list(e)
+                    for k, a in moved:
+                        e[k] += a
+                    e = tuple(e)
+                out[e] = get(e, 0) + cu * c
+        return LaurentPoly._raw(self.arity, {e: c for e, c in out.items() if c})
 
     __rmul__ = __mul__
 
@@ -344,32 +345,6 @@ def _linear_combination(arity: int, items: Iterable[tuple[int, LaurentPoly]]) ->
             for exps, c in poly.terms.items():
                 out[exps] = get(exps, 0) + coef * c
     return LaurentPoly._raw(arity, {e: c for e, c in out.items() if c})
-
-
-def _multiply_by_binomial(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """The product of f and ``g = c1 x^u + c2 x^v``.
-
-    Each term of f is copied once per term of g, and only the
-    coordinates where u or v is nonzero are adjusted: none or two for the
-    ``1 - x_i x_j`` of R, one each for the ``x_i - x_j`` of V.  A first
-    term 1 of g is a plain copy of f.  The generic product instead adds full
-    exponent tuples for every pair of terms.
-    """
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for u, cu in g.terms.items():
-        moved = [(k, a) for k, a in enumerate(u) if a]
-        if not out and not moved and cu == 1:
-            out.update(f.terms)
-            continue
-        for e, c in f.terms.items():
-            if moved:
-                e = list(e)
-                for k, a in moved:
-                    e[k] += a
-                e = tuple(e)
-            out[e] = get(e, 0) + cu * c
-    return LaurentPoly._raw(f.arity, {e: c for e, c in out.items() if c})
 
 
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:

@@ -1,7 +1,7 @@
 import random
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from perisym import (
     ArityMismatch,
@@ -11,7 +11,7 @@ from perisym import (
     monomial_orbit_sum,
     straighten_alternant,
 )
-from perisym.laurent import _divide_by_heap, _multiply_by_binomial, grlex_key
+from perisym.laurent import _divide_by_heap, grlex_key
 from perisym.schur import denominator_factors, denominators, schur_poly
 
 import util
@@ -270,7 +270,7 @@ class TestBinomialDivision:
                 assert quotient == LaurentPoly.one(n)
 
 
-# -- the two-term path of __mul__, against the term-pair product ------------
+# -- the product, against the term-pair product -------------------------
 
 
 def reference_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
@@ -283,25 +283,26 @@ def reference_product(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
     return LaurentPoly(f.arity, out)
 
 
-class TestBinomialMultiply:
+class TestProductAgainstTermPairs:
     @settings(max_examples=300, deadline=None)
     @given(poly_and_binomial())
-    def test_matches_term_pair_product(self, case):
+    @example((1 + x1, 1 - x1))
+    def test_binomial_factor(self, case):
         f, g = case
         expected = reference_product(f, g)
-        assert _multiply_by_binomial(f, g) == expected
         assert f * g == expected
         assert g * f == expected
 
-    @settings(max_examples=100, deadline=None)
-    @given(poly_and_binomial())
-    def test_no_zero_coefficients(self, case):
-        f, g = case
-        assert all(_multiply_by_binomial(f, g).terms.values())
-
-    def test_cancellation(self):
-        # (1 + x) * (1 - x) leaves no x term.
-        assert _multiply_by_binomial(1 + x1, 1 - x1).terms == {(0,): 1, (2,): -1}
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(*[st.dictionaries(
+        st.tuples(*[st.integers(-3, 3)] * n), st.integers(-5, 5), max_size=7)] * 2,
+        st.just(n))))
+    def test_any_operands(self, case):
+        f_terms, g_terms, n = case
+        f, g = LaurentPoly(n, f_terms), LaurentPoly(n, g_terms)
+        expected = reference_product(f, g)
+        assert f * g == expected
+        assert g * f == expected
 
 
 def reference_substitute_pair(f: LaurentPoly, i: int, j: int) -> dict:
