@@ -197,9 +197,10 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
     Entries may be negative.  s_lam is symmetric, so its coefficient at
     any exponent is its coefficient at the sorted exponent: the Kostka
     number K(lam, nu) from :func:`_dominant_coefficients` is written at
-    every permutation of each weakly decreasing exponent nu (the n!
-    permutations repeat when nu has equal entries).  Results are cached
-    by lam.
+    every permutation of each weakly decreasing exponent nu.  The n!
+    permutations repeat when nu has equal entries; skipping the repeats
+    in Python costs about what ``itertools.permutations`` spends on them.
+    Results are cached by lam.
     """
     lam = check_dominant(lam)
     cached = _schur_cache.get(lam)
