@@ -6,6 +6,10 @@ dominant coefficients: the coefficient of x^nu for weakly decreasing nu is
 the Kostka number K(lam, nu), which the branching rule gives by restricting
 to one variable fewer at a time, and symmetry copies it to every
 permutation of nu.  No polynomial division is involved.
+``SchurExpansion.to_poly`` sums before it expands: the Kostka tables of
+all its weights are added into one table of dominant coefficients, and
+only the nonzero entries of that sum are copied to their permutations,
+so no s_lam is built on the way.  ``schur_poly`` is the one-weight case.
 ``schur_expand`` inverts this by straightening: for symmetric q,
 q * a_rho is the antisymmetrization of x^rho * q, so every term of q
 contributes one signed alternant a_{lam + rho} and no Schur polynomial is
@@ -25,7 +29,6 @@ from typing import Iterable, Mapping
 from .errors import NotDominant, NotSymmetric
 from .laurent import (
     LaurentPoly,
-    _linear_combination,
     grlex_key,
     permutations_with_signs,
     straighten_alternant,
@@ -99,10 +102,22 @@ class SchurExpansion(_WeightCombination):
     weight."""
 
     def to_poly(self) -> LaurentPoly:
-        """The Laurent polynomial this expansion represents."""
-        return _linear_combination(
-            self.arity, ((coef, schur_poly(lam)) for lam, coef in self.coeffs.items())
-        )
+        """The Laurent polynomial sum_lam c_lam s_lam this expansion
+        represents.
+
+        It is symmetric, so its coefficient at any exponent is its
+        coefficient D[nu] at the sorted exponent nu, which
+        :func:`_dominant_coefficients` sums over all the weights at once.
+        Each nonzero D[nu] is then written at every permutation of nu,
+        once for the whole expansion; no s_lam is built or cached.  The n!
+        permutations repeat when nu has equal entries; skipping the
+        repeats in Python costs about what ``itertools.permutations``
+        spends on them.
+        """
+        terms: dict[tuple[int, ...], int] = {}
+        for nu, coef in _dominant_coefficients(self.coeffs).items():
+            terms.update(zip(itertools.permutations(nu), itertools.repeat(coef)))
+        return LaurentPoly._raw(self.arity, terms)
 
 
 @functools.cache
@@ -154,9 +169,11 @@ def alternant(nu: Iterable[int]) -> LaurentPoly:
 _schur_cache: dict[Weight, LaurentPoly] = {}
 
 
-def _dominant_coefficients(lam: Weight) -> dict[Weight, int]:
-    """The coefficients of s_lam at its weakly decreasing exponents nu:
-    the Kostka numbers K(lam, nu), by the branching rule.
+def _dominant_coefficients(combination: Mapping[Weight, int]) -> dict[Weight, int]:
+    """The coefficients of sum_lam c_lam s_lam at its weakly decreasing
+    exponents nu: D[nu] = sum_lam c_lam K(lam, nu), with the Kostka
+    numbers K(lam, nu) given by the branching rule.  Zero sums are
+    dropped.
 
     In k variables the branching rule reads
     s_lam = sum_{lam'} x_k^{|lam| - |lam'|} s_{lam'}(x_1, ..., x_{k-1}) over
@@ -167,7 +184,9 @@ def _dominant_coefficients(lam: Weight) -> dict[Weight, int]:
     (nu_{k+1}, as nu is weakly decreasing; lam_n at the top) and at most
     |lam| / k (it is the smallest entry).  The upper bound also makes the
     entry of a one-entry lam' at least its floor, so that base case needs
-    no check.  The memo, keyed by (lam', floor), lives only for this call.
+    no check.  The table of (lam', floor) depends on nothing else, so one
+    memo, keyed by (lam', floor), serves every lam of the combination; it
+    lives only for this call.
     """
     memo: dict[tuple[Weight, int], dict[Weight, int]] = {}
 
@@ -188,30 +207,25 @@ def _dominant_coefficients(lam: Weight) -> dict[Weight, int]:
             memo[lam, floor] = out
         return out
 
-    return kostka(lam, min(lam, default=0))
+    summed: dict[Weight, int] = {}
+    for lam, c_lam in combination.items():
+        for nu, k in kostka(lam, min(lam, default=0)).items():
+            summed[nu] = summed.get(nu, 0) + c_lam * k
+    return {nu: coef for nu, coef in summed.items() if coef}
 
 
 def schur_poly(lam: Iterable[int]) -> LaurentPoly:
     """The Schur Laurent polynomial s_lam for a dominant weight lam.
 
-    Entries may be negative.  s_lam is symmetric, so its coefficient at
-    any exponent is its coefficient at the sorted exponent: the Kostka
-    number K(lam, nu) from :func:`_dominant_coefficients` is written at
-    every permutation of each weakly decreasing exponent nu.  The n!
-    permutations repeat when nu has equal entries; skipping the repeats
-    in Python costs about what ``itertools.permutations`` spends on them.
-    Results are cached by lam.
+    Entries may be negative.  This is the one-weight expansion {lam: 1}
+    (:meth:`SchurExpansion.to_poly`), whose dominant coefficients are the
+    Kostka numbers K(lam, nu).  Results are cached by lam.
     """
     lam = check_dominant(lam)
     cached = _schur_cache.get(lam)
-    if cached is not None:
-        return cached
-    terms: dict[tuple[int, ...], int] = {}
-    for nu, coef in _dominant_coefficients(lam).items():
-        terms.update(zip(itertools.permutations(nu), itertools.repeat(coef)))
-    result = LaurentPoly._raw(len(lam), terms)
-    _schur_cache[lam] = result
-    return result
+    if cached is None:
+        cached = _schur_cache[lam] = SchurExpansion(len(lam), {lam: 1}).to_poly()
+    return cached
 
 
 def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:

@@ -53,9 +53,12 @@ def schur_bialternant_oracle(lam: tuple[int, ...]) -> LaurentPoly:
     """Independent Schur computation: the n x n bead-power determinant
     divided by the Vandermonde determinant, both expanded by cofactors.
 
-    The division is the general heap division even where the Vandermonde
-    is a single binomial (n = 2), so the oracle shares no code with the
-    binomial path that ``schur_poly`` takes."""
+    The division is the general heap division, even where the Vandermonde
+    is a single binomial (n = 2).  ``schur_poly`` divides by nothing: it
+    writes Kostka numbers from the branching rule, so the two share no
+    Schur code.  They do share the product: the cofactor expansion
+    multiplies with ``LaurentPoly.__mul__``, as does every check that
+    compares R * oracle with a thin-Kac supercharacter."""
     n = len(lam)
     if n == 0:
         return LaurentPoly.one(0)

@@ -1,6 +1,7 @@
 import random
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from perisym import (
     ArityMismatch,
@@ -223,3 +224,24 @@ class TestHomomorphism:
                     tslice = f.substitute_pair(i, j)
                     assert tslice.t_witness() is None
                     assert LaurentPoly(n - 2, tslice.constant_part()) == reference
+
+
+@st.composite
+def window_members(draw, n):
+    """J_n members: combinations of up to three elements of
+    ``membership_window_basis(n, 2)`` with coefficients in [-3, 3]."""
+    basis = membership_window_basis(n, 2)
+    picks = draw(st.lists(st.tuples(st.integers(0, len(basis) - 1), st.integers(-3, 3)),
+                          max_size=3))
+    out = LaurentPoly.zero(n)
+    for i, coef in picks:
+        out = out + coef * basis[i]
+    return out
+
+
+class TestHomomorphismProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.integers(2, 4).flatmap(lambda n: st.tuples(window_members(n), window_members(n))))
+    def test_multiplicative_on_members(self, fg):
+        f, g = fg
+        assert ds_eval(f * g) == ds_eval(f) * ds_eval(g)

@@ -325,3 +325,21 @@ class TestSubstitutePairProperties:
         terms, (i, j), n = case
         f = LaurentPoly(n, terms)
         assert f.substitute_pair(i, j).terms == reference_substitute_pair(f, i, j)
+
+
+# -- the heap path of exact_divide: divisors of three or more terms --------
+
+
+class TestHeapDivisionProperties:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 4).flatmap(lambda n: st.tuples(
+        st.dictionaries(st.tuples(*[st.integers(-3, 3)] * n), st.integers(-5, 5), max_size=6),
+        st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-4, 4).filter(bool),
+                        min_size=3, max_size=5),
+        st.just(n))))
+    @example(({(0,): 1, (1,): 1}, {(0,): 1, (1,): 1, (2,): 1}, 1))
+    def test_product_divides_back(self, case):
+        f_terms, g_terms, n = case
+        f, g = LaurentPoly(n, f_terms), LaurentPoly(n, g_terms)
+        assert len(g) >= 3
+        assert (f * g).exact_divide(g) == f

@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perisym import (
@@ -12,6 +12,8 @@ from perisym import (
     SchurExpansion,
     denominators,
     dominant_weights_with_beads_in,
+    euler_characteristic,
+    euler_ds_power,
     schur_expand,
     schur_poly,
 )
@@ -277,3 +279,72 @@ class TestSchurExpandProperties:
         e = data.draw(st.tuples(*[st.integers(-3, 3)] * n).filter(lambda e: e[0] != e[1]))
         with pytest.raises(NotSymmetric):
             schur_expand(f + LaurentPoly.monomial(n, e))
+
+
+# -- SchurExpansion.to_poly, against the sum of Schur polynomials -----------
+
+
+def reference_to_poly(expansion: SchurExpansion) -> LaurentPoly:
+    """sum_lam c_lam s_lam, one Schur polynomial per weight, as to_poly
+    computed it before it summed Kostka tables."""
+    out = LaurentPoly.zero(expansion.arity)
+    for lam, coef in expansion.coeffs.items():
+        out = out + coef * schur_poly(lam)
+    return out
+
+
+@st.composite
+def schur_expansions(draw, max_arity=5):
+    """Combinations of up to four weights of arity 0..max_arity, entries
+    in [-3, 4], coefficients in [-3, 3], zero included.  When a second
+    weight nu has K(lam, nu) != 0 for the first weight lam, it may get the
+    coefficient -c * K(lam, nu), so that the summed Kostka table cancels
+    at nu."""
+    n = draw(st.integers(0, max_arity))
+    weights = st.lists(st.integers(-3, 4), min_size=n, max_size=n).map(
+        lambda entries: tuple(sorted(entries, reverse=True)))
+    coeffs = dict(draw(st.lists(st.tuples(weights, st.integers(-3, 3)), max_size=4)))
+    if coeffs and draw(st.booleans()):
+        lam, c = next(iter(coeffs.items()))
+        nu = draw(weights)
+        kostka = schur_poly(lam).terms.get(nu, 0)
+        if nu != lam and kostka:
+            coeffs[nu] = -c * kostka
+    return SchurExpansion(n, coeffs)
+
+
+class TestSummedExpansion:
+    @settings(max_examples=200, deadline=None)
+    @given(schur_expansions())
+    @example(SchurExpansion(2, {(2, 0): 1, (1, 1): -1}))
+    # s_(2,1,0) has coefficient 2 at x^(1,1,1), which 2 s_(1,1,1) cancels.
+    @example(SchurExpansion(3, {(2, 1, 0): 1, (1, 1, 1): -2}))
+    def test_matches_sum_of_schur_polys(self, expansion):
+        poly = expansion.to_poly()
+        assert poly == reference_to_poly(expansion)
+        assert all(poly.terms.values())
+
+    def test_arity_zero(self):
+        assert SchurExpansion(0, {(): 3}).to_poly() == LaurentPoly.constant(0, 3)
+
+    def test_arity_one(self):
+        expansion = SchurExpansion(1, {(2,): 4, (-1,): -3})
+        assert expansion.to_poly() == LaurentPoly(1, {(2,): 4, (-1,): -3})
+
+    def test_zero_expansion(self):
+        for n in range(6):
+            poly = SchurExpansion(n, {}).to_poly()
+            assert poly.is_zero()
+            assert poly.arity == n
+
+    def test_euler_characteristic_leaves_schur_cache_unchanged(self):
+        before = dict(_schur_cache)
+        expansions = [euler_characteristic(lam, gamma)[1]
+                      for lam, gamma in (((9, 5, -2, -7), (3, 2, 1, 0)),
+                                         ((6, 6, -5, -5), (1, 1, 0, 0)),
+                                         ((8, 3, -6), (2, 1, 0)))]
+        euler_ds_power((7, 7, -4, -4), (0, 0, -1, -1), 1)
+        assert _schur_cache.keys() == before.keys()
+        assert all(_schur_cache[lam] is poly for lam, poly in before.items())
+        # The expansions had weights that were not cached before.
+        assert all(e.coeffs.keys() - before.keys() for e in expansions)
