@@ -36,21 +36,6 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
     return old_r, old_u, old_v
 
 
-def _add_multiple(dst: dict, src: dict, q: int) -> None:
-    """dst += q * src, storing no zero entries; ``q == 0`` leaves dst as
-    it is.  Use :func:`_axpy` where the keys that appear or vanish are
-    needed."""
-    if not q:
-        return
-    get = dst.get
-    for key, val in src.items():
-        new = get(key, 0) + q * val
-        if new:
-            dst[key] = new
-        else:
-            dst.pop(key, None)
-
-
 def _axpy(dst: dict, src: dict, q: int) -> tuple[list, list]:
     """dst += q * src; returns (keys added, keys removed).
 
@@ -161,22 +146,22 @@ class EchelonSystem:
             if b % a == 0:
                 q = -(b // a)
                 added, removed = _axpy(cols[c], cols[pivot], q)
-                _add_multiple(V[c], V[pivot], q)
+                _axpy(V[c], V[pivot], q)
                 self._touch(c, added, removed, heap)
             else:
                 g, u, v = xgcd(a, b)
                 new_p = {}
-                _add_multiple(new_p, cols[pivot], u)
-                _add_multiple(new_p, cols[c], v)
+                _axpy(new_p, cols[pivot], u)
+                _axpy(new_p, cols[c], v)
                 new_c = {}
-                _add_multiple(new_c, cols[pivot], -(b // g))
-                _add_multiple(new_c, cols[c], a // g)
+                _axpy(new_c, cols[pivot], -(b // g))
+                _axpy(new_c, cols[c], a // g)
                 newV_p = {}
-                _add_multiple(newV_p, V[pivot], u)
-                _add_multiple(newV_p, V[c], v)
+                _axpy(newV_p, V[pivot], u)
+                _axpy(newV_p, V[c], v)
                 newV_c = {}
-                _add_multiple(newV_c, V[pivot], -(b // g))
-                _add_multiple(newV_c, V[c], a // g)
+                _axpy(newV_c, V[pivot], -(b // g))
+                _axpy(newV_c, V[c], a // g)
                 self._replace(pivot, new_p, newV_p, heap)
                 self._replace(c, new_c, newV_c, heap)
         entry = cols[pivot][row]
@@ -210,14 +195,14 @@ class EchelonSystem:
             if rem:
                 raise NonIntegral(f"pivot at row {row!r} does not divide")
             d[ci] = q
-            _add_multiple(b, self.cols[ci], -q)
+            _axpy(b, self.cols[ci], -q)
         if b:
             row = sorted(b)[0]
             raise Infeasible(f"residual at row {row!r}")
         x: dict[int, int] = {}
         for ci, q in d.items():
             if q:
-                _add_multiple(x, self.V[ci], q)
+                _axpy(x, self.V[ci], q)
         return x
 
     def kernel_vectors(self) -> list[dict[int, int]]:
@@ -235,7 +220,7 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
     """
     if not basis:
         return x
-    # Each row travels with its lead, recomputed only after _add_multiple
+    # Each row travels with its lead, recomputed only after _axpy
     # changes the row.
     rows = [(max(r, key=order_key), r) for r in map(dict, basis) if r]
     echelon: list[tuple[object, dict[int, int]]] = []
@@ -247,15 +232,15 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
         for other in group[1:]:
             a, b = head[lead], other[lead]
             if b % a == 0:
-                _add_multiple(other, head, -(b // a))
+                _axpy(other, head, -(b // a))
             else:
                 g, u, v = xgcd(a, b)
                 new_head: dict[int, int] = {}
-                _add_multiple(new_head, head, u)
-                _add_multiple(new_head, other, v)
+                _axpy(new_head, head, u)
+                _axpy(new_head, other, v)
                 new_other: dict[int, int] = {}
-                _add_multiple(new_other, head, -(b // g))
-                _add_multiple(new_other, other, a // g)
+                _axpy(new_other, head, -(b // g))
+                _axpy(new_other, other, a // g)
                 head, other = new_head, new_other
             if other:
                 rest.append((max(other, key=order_key), other))
@@ -268,5 +253,5 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
         cur = x.get(lead, 0)
         q = cur // vec[lead]
         if q:
-            _add_multiple(x, vec, -q)
+            _axpy(x, vec, -q)
     return {k: v for k, v in x.items() if v}

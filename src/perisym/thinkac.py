@@ -12,8 +12,14 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, _linear_combination
-from .schur import _WeightCombination, denominator_factors, denominators, schur_poly
+from .laurent import LaurentPoly
+from .schur import (
+    SchurExpansion,
+    _WeightCombination,
+    denominator_factors,
+    denominators,
+    schur_poly,
+)
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
@@ -43,12 +49,14 @@ def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPol
     coordinates ``coeffs`` in ``arity`` variables.
 
     Computed as R * sum_lam (-1)^parity(lam) c_lam s_lam: the Schur
-    polynomials are summed in one pass, then multiplied by the binomial
-    factors of R, so no thin-Kac supercharacter is built or cached.
+    expansion is turned into one polynomial by
+    :meth:`schur.SchurExpansion.to_poly`, then multiplied by the binomial
+    factors of R, so no thin-Kac supercharacter or s_lam is built or
+    cached.
     """
-    out = _linear_combination(arity, (
-        (-coef if parity(lam) else coef, schur_poly(lam)) for lam, coef in coeffs.items()
-    ))
+    out = SchurExpansion(arity, {
+        lam: -coef if parity(lam) else coef for lam, coef in coeffs.items()
+    }).to_poly()
     for factor in denominator_factors(arity)[0]:
         out = out * factor
     return out

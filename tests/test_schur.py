@@ -338,13 +338,18 @@ class TestSummedExpansion:
             assert poly.arity == n
 
     def test_euler_characteristic_leaves_schur_cache_unchanged(self):
+        cases = (((9, 5, -2, -7), (3, 2, 1, 0)),
+                 ((6, 6, -5, -5), (1, 1, 0, 0)),
+                 ((8, 3, -6), (2, 1, 0)))
+        ds_case = ((7, 7, -4, -4), (0, 0, -1, -1))
+        # Uncache the expansions' weights, so that building any s_lam
+        # on the way would show up as a new key.
+        for lam, gamma in cases + (ds_case,):
+            for weight in euler_characteristic(lam, gamma)[1].coeffs:
+                _schur_cache.pop(weight, None)
         before = dict(_schur_cache)
-        expansions = [euler_characteristic(lam, gamma)[1]
-                      for lam, gamma in (((9, 5, -2, -7), (3, 2, 1, 0)),
-                                         ((6, 6, -5, -5), (1, 1, 0, 0)),
-                                         ((8, 3, -6), (2, 1, 0)))]
-        euler_ds_power((7, 7, -4, -4), (0, 0, -1, -1), 1)
+        for lam, gamma in cases:
+            euler_characteristic(lam, gamma)
+        euler_ds_power(*ds_case, 1)
         assert _schur_cache.keys() == before.keys()
         assert all(_schur_cache[lam] is poly for lam, poly in before.items())
-        # The expansions had weights that were not cached before.
-        assert all(e.coeffs.keys() - before.keys() for e in expansions)
