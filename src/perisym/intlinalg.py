@@ -59,6 +59,20 @@ def _axpy(dst: dict, src: dict, q: int) -> tuple[list, list]:
     return added, removed
 
 
+def _gcd_pair(x: dict, y: dict, a: int, b: int) -> tuple[dict, dict]:
+    """The unimodular pair (u x + v y, (a y - b x) / g) for
+    g = gcd(a, b) = u a + v b.  Where x and y hold a and b at one key,
+    the first holds g there and the second 0."""
+    g, u, v = xgcd(a, b)
+    first: dict = {}
+    _axpy(first, x, u)
+    _axpy(first, y, v)
+    second: dict = {}
+    _axpy(second, x, -(b // g))
+    _axpy(second, y, a // g)
+    return first, second
+
+
 class EchelonSystem:
     """Column echelon factorization of a sparse integer matrix.
 
@@ -149,19 +163,8 @@ class EchelonSystem:
                 _axpy(V[c], V[pivot], q)
                 self._touch(c, added, removed, heap)
             else:
-                g, u, v = xgcd(a, b)
-                new_p = {}
-                _axpy(new_p, cols[pivot], u)
-                _axpy(new_p, cols[c], v)
-                new_c = {}
-                _axpy(new_c, cols[pivot], -(b // g))
-                _axpy(new_c, cols[c], a // g)
-                newV_p = {}
-                _axpy(newV_p, V[pivot], u)
-                _axpy(newV_p, V[c], v)
-                newV_c = {}
-                _axpy(newV_c, V[pivot], -(b // g))
-                _axpy(newV_c, V[c], a // g)
+                new_p, new_c = _gcd_pair(cols[pivot], cols[c], a, b)
+                newV_p, newV_c = _gcd_pair(V[pivot], V[c], a, b)
                 self._replace(pivot, new_p, newV_p, heap)
                 self._replace(c, new_c, newV_c, heap)
         entry = cols[pivot][row]
@@ -234,14 +237,7 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
             if b % a == 0:
                 _axpy(other, head, -(b // a))
             else:
-                g, u, v = xgcd(a, b)
-                new_head: dict[int, int] = {}
-                _axpy(new_head, head, u)
-                _axpy(new_head, other, v)
-                new_other: dict[int, int] = {}
-                _axpy(new_other, head, -(b // g))
-                _axpy(new_other, other, a // g)
-                head, other = new_head, new_other
+                head, other = _gcd_pair(head, other, a, b)
             if other:
                 rest.append((max(other, key=order_key), other))
         if head[lead] < 0:

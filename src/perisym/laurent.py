@@ -11,6 +11,8 @@ identically.
 
 Values are immutable by convention: no method mutates ``self`` or its
 arguments, so instances may be shared freely (including across threads).
+Values that a cache hands out have read-only terms (:func:`_read_only`),
+so no caller can change what later calls return.
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ import functools
 import heapq
 import itertools
 import operator
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, BadIndices, NotDivisible
@@ -333,18 +336,9 @@ class LaurentPoly:
         return f"LaurentPoly({self.arity}, {dict(self.sorted_terms())!r})"
 
 
-def _linear_combination(arity: int, items: Iterable[tuple[int, LaurentPoly]]) -> LaurentPoly:
-    """The sum of ``coef * poly`` over ``(coef, poly)`` pairs of the given
-    arity, accumulated in one dict, with zero coefficients dropped once at
-    the end: linear in the total number of terms, where repeated ``+``
-    copies the running sum at every step."""
-    out: dict[tuple[int, ...], int] = {}
-    get = out.get
-    for coef, poly in items:
-        if coef:
-            for exps, c in poly.terms.items():
-                out[exps] = get(exps, 0) + coef * c
-    return LaurentPoly._raw(arity, {e: c for e, c in out.items() if c})
+def _read_only(poly: LaurentPoly) -> LaurentPoly:
+    """``poly`` with its terms behind a read-only view (not a copy)."""
+    return LaurentPoly._raw(poly.arity, MappingProxyType(poly.terms))
 
 
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
@@ -611,11 +605,23 @@ def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
+def _from_orbits(arity: int, coeffs: Mapping[tuple[int, ...], int]) -> LaurentPoly:
+    """The symmetric polynomial sum_mu c_mu m_mu: each nonzero c_mu is
+    written at every permutation of mu, so the keys must lie in distinct
+    orbits.  Permutations repeat when mu has equal entries; skipping them
+    in Python costs about what ``itertools.permutations`` spends on them.
+    """
+    terms: dict[tuple[int, ...], int] = {}
+    for mu, coef in coeffs.items():
+        if coef:
+            terms.update(dict.fromkeys(itertools.permutations(mu), coef))
+    return LaurentPoly._raw(arity, terms)
+
+
 def monomial_orbit_sum(arity: int, weight: Iterable[int]) -> LaurentPoly:
     """The monomial symmetric Laurent polynomial m_weight: the sum of
     x^mu over the distinct permutations mu of ``weight``."""
     weight = tuple(map(operator.index, weight))
     if len(weight) != arity:
         raise ArityMismatch(f"weight {weight} does not match arity {arity}")
-    terms = {exps: 1 for exps in set(itertools.permutations(weight))}
-    return LaurentPoly._raw(arity, terms)
+    return _from_orbits(arity, {weight: 1})

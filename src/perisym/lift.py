@@ -18,13 +18,14 @@ from __future__ import annotations
 
 import functools
 import itertools
+import operator
 import os
 from dataclasses import dataclass
 
 from . import intlinalg
-from .errors import NoIntegerSolution, WindowTooSmall
+from .errors import ArityMismatch, NoIntegerSolution, WindowTooSmall
 from .dsmap import _check_member, ds_eval, kernel_decompose
-from .laurent import LaurentPoly, _linear_combination, grlex_key, monomial_orbit_sum
+from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
 from .schur import SchurExpansion
 from .thinkac import thin_kac_combination
 from .weights import Weight
@@ -149,10 +150,16 @@ def _diagonal_lift(h: LaurentPoly, n: int) -> LaurentPoly | None:
 
 
 def orbit_sum_combination(n: int, coeffs: dict[Weight, int]) -> LaurentPoly:
-    """The symmetric polynomial with the given orbit-sum coordinates."""
-    return _linear_combination(
-        n, ((coef, monomial_orbit_sum(n, mu)) for mu, coef in coeffs.items())
-    )
+    """The symmetric polynomial sum_mu c_mu m_mu with the given orbit-sum
+    coordinates.  Keys in one orbit name the same m_mu: their
+    coefficients add."""
+    merged: dict[Weight, int] = {}
+    for mu, coef in coeffs.items():
+        mu = tuple(sorted(map(operator.index, mu), reverse=True))
+        if len(mu) != n:
+            raise ArityMismatch(f"weight {mu} does not match arity {n}")
+        merged[mu] = merged.get(mu, 0) + coef
+    return _from_orbits(n, merged)
 
 
 def lift_window(
@@ -167,8 +174,11 @@ def lift_window(
     the bound starts at (largest exponent magnitude in h) + n and grows
     by 2 up to ``max_window`` (default 12, overridable through the
     PERISYM_MAX_WINDOW environment variable).  Raises
-    :class:`WindowTooSmall` or :class:`NoIntegerSolution` when the search
-    is exhausted.
+    :class:`WindowTooSmall` when the start is above the cap (before any
+    system is built), and it or :class:`NoIntegerSolution` when the
+    search is exhausted.  A lift is reduced modulo the kernel lattice
+    only from windows whose kernel has at most 600 vectors: from
+    (4, Window(6)), with 715, it is exact but not the canonical residue.
     """
     _check_member(h)
     n = h.arity + 2
@@ -180,8 +190,11 @@ def lift_window(
     else:
         cap = max_window if max_window is not None else default_max_window()
         start = h.max_abs_exponent() + n
-        attempts = [Window(b) for b in range(start, max(start, cap) + 1, 2)]
-    failure: Exception = WindowTooSmall("no window attempted")
+        if start > cap:
+            raise WindowTooSmall(
+                f"the search would start at {Window(start)}, above the cap max_window={cap}"
+            )
+        attempts = [Window(b) for b in range(start, cap + 1, 2)]
     for attempt in attempts:
         system = _window_system(n, attempt)
         try:
@@ -271,10 +284,11 @@ def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
 def membership_window_basis(n: int, bound: int) -> tuple[LaurentPoly, ...]:
     """A lattice basis of the supersymmetric polynomials in n variables
     whose orbit support lies in the window: the integer nullspace of the
-    t-dependent slice coefficients.  The basis is cached, hence a tuple."""
+    t-dependent slice coefficients.  The basis is cached, hence a tuple
+    of polynomials with read-only terms."""
     weights = _window_weights(n, Window(bound))
     echelon = intlinalg.EchelonSystem([_orbit_column(mu, False) for mu in weights])
     return tuple(
-        orbit_sum_combination(n, {weights[i]: c for i, c in vec.items()})
+        _read_only(orbit_sum_combination(n, {weights[i]: c for i, c in vec.items()}))
         for vec in echelon.kernel_vectors()
     )

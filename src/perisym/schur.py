@@ -29,6 +29,8 @@ from typing import Iterable, Mapping
 from .errors import NotDominant, NotSymmetric
 from .laurent import (
     LaurentPoly,
+    _from_orbits,
+    _read_only,
     grlex_key,
     permutations_with_signs,
     straighten_alternant,
@@ -108,32 +110,23 @@ class SchurExpansion(_WeightCombination):
         It is symmetric, so its coefficient at any exponent is its
         coefficient D[nu] at the sorted exponent nu, which
         :func:`_dominant_coefficients` sums over all the weights at once.
-        Each nonzero D[nu] is then written at every permutation of nu,
-        once for the whole expansion; no s_lam is built or cached.  The n!
-        permutations repeat when nu has equal entries; skipping the
-        repeats in Python costs about what ``itertools.permutations``
-        spends on them.
+        Each nonzero D[nu] is then written at every permutation of nu
+        (:func:`laurent._from_orbits`), once for the whole expansion; no
+        s_lam is built or cached.
         """
-        terms: dict[tuple[int, ...], int] = {}
-        for nu, coef in _dominant_coefficients(self.coeffs).items():
-            terms.update(zip(itertools.permutations(nu), itertools.repeat(coef)))
-        return LaurentPoly._raw(self.arity, terms)
+        return _from_orbits(self.arity, _dominant_coefficients(self.coeffs))
 
 
 @functools.cache
 def denominator_factors(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentPoly, ...]]:
     """The binomial factors of the denominators in n variables: the
     ``1 - x_i x_j`` of R and the ``x_i - x_j`` of V, for i < j in
-    lexicographic order."""
-    r_factors = []
-    v_factors = []
-    for i in range(n):
-        for j in range(i + 1, n):
-            pair = [0] * n
-            pair[i] = 1
-            pair[j] = 1
-            r_factors.append(LaurentPoly.one(n) - LaurentPoly.monomial(n, pair))
-            v_factors.append(LaurentPoly.variable(n, i + 1) - LaurentPoly.variable(n, j + 1))
+    lexicographic order.  Cached, with read-only terms."""
+    r_factors, v_factors = [], []
+    for i, j in itertools.combinations(range(1, n + 1), 2):
+        x_i, x_j = LaurentPoly.variable(n, i), LaurentPoly.variable(n, j)
+        r_factors.append(_read_only(LaurentPoly.one(n) - x_i * x_j))
+        v_factors.append(_read_only(x_i - x_j))
     return tuple(r_factors), tuple(v_factors)
 
 
@@ -143,15 +136,10 @@ def denominators(n: int) -> tuple[LaurentPoly, LaurentPoly]:
     R = prod_{i<j} (1 - x_i x_j) and V = prod_{i<j} (x_i - x_j).
 
     R is symmetric; V (the Vandermonde) is alternating.  Both are the
-    empty product 1 when n <= 1.
+    empty product 1 when n <= 1.  Cached, with read-only terms.
     """
-    products = []
-    for factors in denominator_factors(n):
-        out = LaurentPoly.one(n)
-        for factor in factors:
-            out = out * factor
-        products.append(out)
-    return tuple(products)
+    return tuple(_read_only(functools.reduce(operator.mul, factors, LaurentPoly.one(n)))
+                 for factors in denominator_factors(n))
 
 
 def alternant(nu: Iterable[int]) -> LaurentPoly:
@@ -219,12 +207,13 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
 
     Entries may be negative.  This is the one-weight expansion {lam: 1}
     (:meth:`SchurExpansion.to_poly`), whose dominant coefficients are the
-    Kostka numbers K(lam, nu).  Results are cached by lam.
+    Kostka numbers K(lam, nu).  Results are cached by lam, with
+    read-only terms.
     """
     lam = check_dominant(lam)
     cached = _schur_cache.get(lam)
     if cached is None:
-        cached = _schur_cache[lam] = SchurExpansion(len(lam), {lam: 1}).to_poly()
+        cached = _schur_cache[lam] = _read_only(SchurExpansion(len(lam), {lam: 1}).to_poly())
     return cached
 
 

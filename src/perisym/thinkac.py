@@ -12,14 +12,8 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly
-from .schur import (
-    SchurExpansion,
-    _WeightCombination,
-    denominator_factors,
-    denominators,
-    schur_poly,
-)
+from .laurent import LaurentPoly, _from_orbits, _read_only
+from .schur import SchurExpansion, _WeightCombination, denominator_factors
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
@@ -33,14 +27,13 @@ _thin_kac_cache: dict[Weight, LaurentPoly] = {}
 
 
 def sch_thin_kac(lam: Iterable[int]) -> LaurentPoly:
-    """Supercharacter of the thin Kac module with highest weight lam."""
+    """Supercharacter of the thin Kac module with highest weight lam:
+    the one-weight combination {lam: 1} (:func:`thin_kac_combination`).
+    Results are cached by lam, with read-only terms."""
     lam = check_dominant(lam)
     cached = _thin_kac_cache.get(lam)
     if cached is None:
-        n = len(lam)
-        sign = -1 if parity(lam) else 1
-        cached = sign * denominators(n)[0] * schur_poly(lam)
-        _thin_kac_cache[lam] = cached
+        cached = _thin_kac_cache[lam] = _read_only(thin_kac_combination(len(lam), {lam: 1}))
     return cached
 
 
@@ -69,16 +62,12 @@ def kclass_sch(cls: KClass) -> LaurentPoly:
 
 def sch_standard(n: int) -> LaurentPoly:
     """Supercharacter of the standard (n|n) module:
-    sum_i x_i - sum_i x_i^{-1}."""
-    terms: dict[tuple[int, ...], int] = {}
-    for i in range(n):
-        up = [0] * n
-        up[i] = 1
-        terms[tuple(up)] = 1
-        down = [0] * n
-        down[i] = -1
-        terms[tuple(down)] = -1
-    return LaurentPoly._raw(n, terms)
+    sum_i x_i - sum_i x_i^{-1}, the orbit sums of (1, 0, ..., 0) and
+    (0, ..., 0, -1); zero when n = 0."""
+    if not n:
+        return LaurentPoly.zero(0)
+    zeros = (0,) * (n - 1)
+    return _from_orbits(n, {(1,) + zeros: 1, zeros + (-1,): -1})
 
 
 def theta_prime(k: int, cls: KClass, *, parity_twist: bool = False) -> KClass:

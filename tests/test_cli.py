@@ -286,6 +286,17 @@ class TestWindowCap:
         assert code == 1
         assert "--max-window" in err and "Traceback" not in err
 
+    def test_start_above_cap_is_domain_error(self, capsys, monkeypatch):
+        from perisym import lift as lift_module
+
+        built = []
+        monkeypatch.setattr(lift_module, "_window_system", lambda *args: built.append(args))
+        code, data = run_json(capsys, "lift", "--n", "4", "-h", self.TARGET, "--max-window", "0")
+        assert code == 2
+        assert data["error"] == "WindowTooSmall"
+        assert "max_window=0" in data["message"]
+        assert built == []
+
     @pytest.mark.parametrize("argv", [("lift", "--n", "4", "-h"), ("certify", "--n", "2", "-f")])
     def test_bad_env_cap_is_usage_error(self, capsys, monkeypatch, argv):
         monkeypatch.setenv("PERISYM_MAX_WINDOW", "abc")

@@ -1,10 +1,12 @@
+import itertools
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from perisym import (
+    ArityMismatch,
     Certificate,
     LaurentPoly,
     NotMember,
@@ -20,7 +22,8 @@ from perisym import (
     membership_window_basis,
     sch_thin_kac,
 )
-from perisym.lift import CertificateLevel
+from perisym import lift as lift_module
+from perisym.lift import CertificateLevel, orbit_sum_combination
 from perisym.schur import denominator_factors, schur_poly
 
 
@@ -66,6 +69,21 @@ class TestLiftWindow:
         h = sch_thin_kac((1, 0))
         with pytest.raises(WindowTooSmall):
             lift_window(h, window=Window(1))
+
+    def test_start_above_cap_raises_before_any_system(self, monkeypatch):
+        # The search for this target starts at Window(6).
+        h = sch_thin_kac((1, 0))
+        built = []
+        monkeypatch.setattr(lift_module, "_window_system",
+                            lambda *args: built.append(args))
+        for cap in (0, 5):
+            with pytest.raises(WindowTooSmall, match=rf"Window\(bound=6\).*max_window={cap}"):
+                lift_window(h, max_window=cap)
+        assert built == []
+
+    def test_explicit_window_ignores_cap(self):
+        h = sch_thin_kac((1, 0))
+        assert lift_window(h, window=Window(6), max_window=0) == lift_window(h)
 
     def test_rejects_non_member(self):
         with pytest.raises(NotMember):
@@ -231,3 +249,47 @@ class TestMembershipWindowBasis:
         for target in span_checks:
             cert = certify(target)
             assert cert.validate() == target
+
+
+def reference_orbit_sum_combination(n, coeffs):
+    """sum_mu c_mu m_mu added key by key in one dict, each orbit sum
+    built from the set of distinct permutations, zeros dropped at the
+    end."""
+    out = {}
+    for mu, coef in coeffs.items():
+        for exps in set(itertools.permutations(mu)):
+            out[exps] = out.get(exps, 0) + coef
+    return LaurentPoly(n, {e: c for e, c in out.items() if c})
+
+
+@st.composite
+def orbit_tables(draw):
+    """Tables of n <= 6 with repeated entries, zero coefficients and, for
+    some keys, a second key in the same orbit."""
+    n = draw(st.integers(0, 6))
+    coefs = st.integers(-3, 3)
+    table = draw(st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), coefs, max_size=5))
+    for mu in list(table):
+        if draw(st.booleans()):
+            table[tuple(draw(st.permutations(mu)))] = draw(coefs)
+    return n, table
+
+
+class TestOrbitSumCombination:
+    @settings(max_examples=200, deadline=None)
+    @given(orbit_tables())
+    @example((2, {(1, 0): 1, (0, 1): 1}))
+    @example((3, {(1, 0, 0): 2, (0, 0, 1): -2, (0, 0, 0): 0}))
+    @example((0, {(): 4}))
+    def test_matches_key_by_key_sum(self, case):
+        n, table = case
+        assert orbit_sum_combination(n, table) == reference_orbit_sum_combination(n, table)
+
+    def test_keys_in_one_orbit_add(self):
+        assert orbit_sum_combination(2, {(1, 0): 1, (0, 1): 1}) == LaurentPoly(
+            2, {(1, 0): 2, (0, 1): 2})
+        assert orbit_sum_combination(2, {(1, 0): 1, (0, 1): -1}).is_zero()
+
+    def test_rejects_wrong_arity(self):
+        with pytest.raises(ArityMismatch):
+            orbit_sum_combination(2, {(1, 0, 0): 1})

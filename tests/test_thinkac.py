@@ -17,7 +17,8 @@ from perisym import (
     supertrace_twist,
     theta_prime,
 )
-from perisym.schur import denominators, schur_poly
+from perisym.lift import membership_window_basis
+from perisym.schur import denominator_factors, denominators, schur_poly
 from perisym.weights import to_diagram
 
 
@@ -64,6 +65,53 @@ class TestStandardModule:
 
     def test_slice_vanishes(self):
         assert sch_standard(2).substitute_pair(1, 2).is_zero()
+
+    @pytest.mark.parametrize("n", range(6))
+    def test_sum_of_variables_and_inverses(self, n):
+        expected = LaurentPoly.zero(n)
+        for i in range(1, n + 1):
+            expected = expected + LaurentPoly.variable(n, i) - LaurentPoly.variable(n, i, -1)
+        assert sch_standard(n) == expected
+        assert sch_standard(n).arity == n
+        assert len(sch_standard(n)) == 2 * n
+
+
+class TestFullProductReference:
+    """sch_thin_kac against the formula (-1)^p(lam) R s_lam, with R the
+    full product of the 1 - x_i x_j."""
+
+    @pytest.mark.parametrize("n", range(5))
+    def test_matches_sign_times_r_times_schur(self, n):
+        r_minus = denominators(n)[0]
+        for lam in dominant_weights_with_beads_in(n, -2, n + 2):
+            sign = -1 if parity(lam) else 1
+            assert sch_thin_kac(lam) == sign * r_minus * schur_poly(lam)
+
+
+CACHED_VALUES = {
+    "schur_poly": lambda: schur_poly((1, 0)),
+    "sch_thin_kac": lambda: sch_thin_kac((0, 0)),
+    "membership_window_basis": lambda: membership_window_basis(2, 2)[0],
+    "denominators R": lambda: denominators(3)[0],
+    "denominators V": lambda: denominators(3)[1],
+    "denominator_factors": lambda: denominator_factors(3)[0][0],
+}
+
+
+class TestCachedValuesAreReadOnly:
+    @pytest.mark.parametrize("name", CACHED_VALUES)
+    def test_terms_cannot_be_changed(self, name):
+        get = CACHED_VALUES[name]
+        first = get()
+        original = dict(first.terms)
+        with pytest.raises(TypeError):
+            first.terms[(9,) * first.arity] = 5
+        some_exps = next(iter(original))
+        with pytest.raises(TypeError):
+            del first.terms[some_exps]
+        again = get()
+        assert again is first
+        assert dict(again.terms) == original
 
 
 class TestThetaPrime:
