@@ -72,8 +72,6 @@ class TestStandardModule:
         for i in range(1, n + 1):
             expected = expected + LaurentPoly.variable(n, i) - LaurentPoly.variable(n, i, -1)
         assert sch_standard(n) == expected
-        assert sch_standard(n).arity == n
-        assert len(sch_standard(n)) == 2 * n
 
 
 class TestFullProductReference:
