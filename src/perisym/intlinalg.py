@@ -2,10 +2,16 @@
 
 Systems are stored column-wise as dicts mapping row keys (any sortable
 hashable) to nonzero ints.  :class:`EchelonSystem` brings the matrix to
-column echelon form by unimodular column operations, tracking the
-transformation, so one factorization serves many right-hand sides:
-solving is forward substitution through the pivot columns, with exact
-divisions certifying integrality.
+column echelon form by unimodular column operations, so one
+factorization serves many right-hand sides: solving is forward
+substitution through the pivot columns, with exact divisions certifying
+integrality.  The transformation is not built during the elimination:
+the column operations are logged, and the transformation columns are
+replayed from the log when needed.  The pivot columns, which solving
+reads, are replayed at the end of the factorization; the kernel columns
+on the first request for them.  :func:`lattice_echelon` and
+:func:`reduce_by_lattice` reduce a solution modulo a kernel lattice,
+echelonized once and reused.
 """
 
 from __future__ import annotations
@@ -73,6 +79,18 @@ def _gcd_pair(x: dict, y: dict, a: int, b: int) -> tuple[dict, dict]:
     return first, second
 
 
+def _leave(occ: dict, heap: list, row, ci: int) -> None:
+    """Column ci lost its entry at row, or became a pivot: drop it
+    from the row's set and push the row's smaller count."""
+    s = occ.get(row)
+    if s is not None:
+        s.discard(ci)
+        if not s:
+            del occ[row]
+        else:
+            heapq.heappush(heap, (len(s), row))
+
+
 class EchelonSystem:
     """Column echelon factorization of a sparse integer matrix.
 
@@ -80,7 +98,8 @@ class EchelonSystem:
     Rows are eliminated in a fill-reducing order: each step takes the
     row with the least (number of occupied non-pivot columns, row key).
     Each elimination is a unimodular combination of columns, so the
-    tracked matrix V satisfies  A_original * V = A_echelon.
+    transformation V, which starts as the identity and takes the same
+    column operations, satisfies  A_original * V = A_echelon.
 
     The order comes from a lazy heap of (count, row) entries.  An entry
     is pushed when a row enters the occupied set and whenever its count
@@ -89,12 +108,21 @@ class EchelonSystem:
     count is out of date is pushed again with the current count; one
     that matches is the least occupied row, exactly as if every change
     had been pushed.
+
+    V is not updated during the elimination.  Each column operation is
+    logged instead: ``(c, p, q)`` for c += q p, ``(p, c, a, b)`` for the
+    gcd pair of p and c at entries a and b, and ``(p,)`` for the sign
+    flip of a pivot.  The constructor replays only the operations that
+    reach the pivot columns, which are all :meth:`solve` reads.
+    :meth:`kernel_vectors` replays those that reach the kernel columns
+    on its first call, and :attr:`V` replays the whole log.  A replay
+    does the same arithmetic in the same order as updating V would.
     """
 
     def __init__(self, columns: list[dict]):
         self.cols = columns
         ncols = len(columns)
-        self.V: list[dict[int, int]] = [{i: 1} for i in range(ncols)]
+        self._log: list[tuple] = []
         occ: dict = {}
         for ci, col in enumerate(columns):
             for row in col:
@@ -116,36 +144,14 @@ class EchelonSystem:
             self.pivots.append((row, pivot))
             active.discard(pivot)
             for r in self.cols[pivot]:
-                s = occ.get(r)
-                if s is not None:
-                    s.discard(pivot)
-                    if not s:
-                        del occ[r]
-                    else:
-                        heapq.heappush(heap, (len(s), r))
+                _leave(occ, heap, r, pivot)
         self.kernel = sorted(c for c in active if not self.cols[c])
-
-    def _touch(self, ci: int, added, removed, heap) -> None:
-        occ = self._occ
-        for row in added:
-            s = occ.get(row)
-            if s is None:
-                occ[row] = {ci}
-                heapq.heappush(heap, (1, row))
-            else:
-                s.add(ci)
-        for row in removed:
-            s = occ.get(row)
-            if s is not None:
-                s.discard(ci)
-                if not s:
-                    del occ[row]
-                else:
-                    heapq.heappush(heap, (len(s), row))
+        self._pivot_V = self._replay([ci for _, ci in self.pivots])
+        self._kernel_V: list[dict[int, int]] | None = None
 
     def _eliminate_row(self, row, cands: list[int], heap) -> int:
         """Zero the row in all candidate columns but one; return it."""
-        cols, V = self.cols, self.V
+        cols, occ, log = self.cols, self._occ, self._log
 
         def pivot_key(c):
             a = abs(cols[c][row])
@@ -155,38 +161,95 @@ class EchelonSystem:
         for c in cands:
             if c == pivot:
                 continue
-            a = cols[pivot][row]
+            src = cols[pivot]
+            a = src[row]
             b = cols[c][row]
             if b % a == 0:
                 q = -(b // a)
-                added, removed = _axpy(cols[c], cols[pivot], q)
-                _axpy(V[c], V[pivot], q)
-                self._touch(c, added, removed, heap)
+                log.append((c, pivot, q))
+                dst = cols[c]
+                # dst += q * src, with the occupancy sets and heap kept
+                # up to date inline: this loop is the factor's hot path.
+                for r, val in src.items():
+                    cur = dst.get(r)
+                    if cur is None:
+                        dst[r] = q * val
+                        s = occ.get(r)
+                        if s is None:
+                            occ[r] = {c}
+                            heapq.heappush(heap, (1, r))
+                        else:
+                            s.add(c)
+                    else:
+                        new = cur + q * val
+                        if new:
+                            dst[r] = new
+                        else:
+                            del dst[r]
+                            _leave(occ, heap, r, c)
             else:
-                new_p, new_c = _gcd_pair(cols[pivot], cols[c], a, b)
-                newV_p, newV_c = _gcd_pair(V[pivot], V[c], a, b)
-                self._replace(pivot, new_p, newV_p, heap)
-                self._replace(c, new_c, newV_c, heap)
-        entry = cols[pivot][row]
-        if entry < 0:
+                log.append((pivot, c, a, b))
+                new_p, new_c = _gcd_pair(src, cols[c], a, b)
+                self._replace(pivot, new_p, heap)
+                self._replace(c, new_c, heap)
+        if cols[pivot][row] < 0:
+            log.append((pivot,))
             cols[pivot] = {r: -v for r, v in cols[pivot].items()}
-            V[pivot] = {k: -v for k, v in V[pivot].items()}
         return pivot
 
-    def _replace(self, ci: int, new_col: dict, new_v: dict, heap) -> None:
-        old = self.cols[ci]
-        added = [r for r in new_col if r not in old]
-        removed = [r for r in old if r not in new_col]
+    def _replace(self, ci: int, new_col: dict, heap) -> None:
+        occ, old = self._occ, self.cols[ci]
         self.cols[ci] = new_col
-        self.V[ci] = new_v
-        self._touch(ci, added, removed, heap)
+        for row in new_col:
+            if row not in old:
+                s = occ.get(row)
+                if s is None:
+                    occ[row] = {ci}
+                    heapq.heappush(heap, (1, row))
+                else:
+                    s.add(ci)
+        for row in old:
+            if row not in new_col:
+                _leave(occ, heap, row, ci)
 
-    def solve(self, rhs: dict) -> dict[int, int]:
+    def _replay(self, targets) -> dict[int, dict[int, int]]:
+        """Columns ``targets`` of V, from the logged operations that reach
+        them.  A backward pass marks the needed operations: one that
+        writes a live column is needed, and its operands become live."""
+        live = set(targets)
+        needed = []
+        for op in reversed(self._log):
+            if len(op) == 3:
+                if op[0] in live:
+                    needed.append(op)
+                    live.add(op[1])
+            elif op[0] in live or (len(op) == 4 and op[1] in live):
+                needed.append(op)
+                live.update(op[:2])
+        V = {i: {i: 1} for i in live}
+        for op in reversed(needed):
+            if len(op) == 3:
+                c, p, q = op
+                _axpy(V[c], V[p], q)
+            elif len(op) == 4:
+                p, c, a, b = op
+                V[p], V[c] = _gcd_pair(V[p], V[c], a, b)
+            else:
+                p = op[0]
+                V[p] = {k: -v for k, v in V[p].items()}
+        return {i: V[i] for i in targets}
+
+    @property
+    def V(self) -> list[dict[int, int]]:
+        """The whole transformation, replayed from the log on each access."""
+        return list(self._replay(range(len(self.cols))).values())
+
+    def solve(self, rhs: dict, row_name=lambda row: row) -> dict[int, int]:
         """An integer solution of A x = rhs in original coordinates.
 
         Raises :class:`Infeasible` when no rational solution exists and
         :class:`NonIntegral` when the unique pivot coordinates are not
-        integers.
+        integers; their messages show a row as ``row_name(row)``.
         """
         b = {k: v for k, v in rhs.items() if v}
         d: dict[int, int] = {}
@@ -196,33 +259,30 @@ class EchelonSystem:
                 continue
             q, rem = divmod(cur, self.cols[ci][row])
             if rem:
-                raise NonIntegral(f"pivot at row {row!r} does not divide")
+                raise NonIntegral(f"pivot at row {row_name(row)!r} does not divide")
             d[ci] = q
             _axpy(b, self.cols[ci], -q)
         if b:
             row = sorted(b)[0]
-            raise Infeasible(f"residual at row {row!r}")
+            raise Infeasible(f"residual at row {row_name(row)!r}")
         x: dict[int, int] = {}
         for ci, q in d.items():
             if q:
-                _axpy(x, self.V[ci], q)
+                _axpy(x, self._pivot_V[ci], q)
         return x
 
     def kernel_vectors(self) -> list[dict[int, int]]:
         """Transformation columns spanning the integer nullspace."""
-        return [self.V[c] for c in self.kernel]
+        if self._kernel_V is None:
+            self._kernel_V = list(self._replay(self.kernel).values())
+        return self._kernel_V
 
 
-def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
-                      order_key) -> dict[int, int]:
-    """Deterministically shrink x modulo the lattice spanned by basis.
-
-    The basis is first echelonized (Hermite style) over the unknowns
-    sorted by ``order_key`` descending, then x's coordinate at each
-    leading unknown is floor-reduced into the canonical residue range.
-    """
-    if not basis:
-        return x
+def lattice_echelon(basis: list[dict[int, int]],
+                    order_key) -> list[tuple[object, dict[int, int]]]:
+    """The lattice spanned by basis in Hermite style echelon form, as
+    (leading unknown, vector) pairs with leads descending by
+    ``order_key`` and positive leading entries."""
     # Each row travels with its lead, recomputed only after _axpy
     # changes the row.
     rows = [(max(r, key=order_key), r) for r in map(dict, basis) if r]
@@ -244,10 +304,21 @@ def reduce_by_lattice(x: dict[int, int], basis: list[dict[int, int]],
             head = {k: -v for k, v in head.items()}
         echelon.append((lead, head))
         rows = rest
+    echelon.sort(key=lambda lv: order_key(lv[0]), reverse=True)
+    return echelon
+
+
+def reduce_by_lattice(x: dict[int, int],
+                      echelon: list[tuple[object, dict[int, int]]]) -> dict[int, int]:
+    """Deterministically shrink x modulo a lattice given by its
+    :func:`lattice_echelon`: x's coordinate at each leading unknown, in
+    descending order, is floor-reduced into the canonical residue range.
+    """
+    if not echelon:
+        return x
     x = dict(x)
-    for lead, vec in sorted(echelon, key=lambda lv: order_key(lv[0]), reverse=True):
-        cur = x.get(lead, 0)
-        q = cur // vec[lead]
+    for lead, vec in echelon:
+        q = x.get(lead, 0) // vec[lead]
         if q:
             _axpy(x, vec, -q)
     return {k: v for k, v in x.items() if v}

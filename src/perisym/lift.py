@@ -31,10 +31,12 @@ from .thinkac import thin_kac_combination
 from .weights import Weight
 
 DEFAULT_MAX_WINDOW = 12
-# Kernels with more vectors are not used to reduce lifts: echelonizing
-# the 715 vectors of (4, Window(6)) takes ~7 s against ~1 s for the 330
-# of (4, Window(5)) on a 2-vCPU VM.  So no Window(6) lift is reduced; it
-# is an exact preimage, but not the canonical residue modulo the lattice.
+# Kernels with more vectors are not used to reduce lifts.  A window's
+# lattice is echelonized once per process, on its first reduced lift:
+# ~1 s for the 330 vectors of (4, Window(5)), but ~7 s for the 715 of
+# (4, Window(6)) on a 2-vCPU VM, more than a cold lift takes.  So no
+# Window(6) lift is reduced; it is an exact preimage, but not the
+# canonical residue modulo the lattice.
 _REDUCTION_SIZE_LIMIT = 600
 
 
@@ -98,17 +100,27 @@ def _orbit_column(mu: Weight, include_t_zero: bool) -> dict:
 
 
 class _WindowSystem:
-    """Factored lift system for one (target arity, window) pair."""
+    """Factored lift system for one (target arity, window) pair.
+
+    The slice rows (t_exp, rest) are numbered in sorted order, so the
+    echelon's row order, and with it every pivot, is that of the tuples.
+    """
 
     def __init__(self, n: int, window: Window):
         self.n = n
         self.window = window
         self.weights = _window_weights(n, window)
         columns = [_orbit_column(mu, True) for mu in self.weights]
-        self.rows = set()
-        for col in columns:
-            self.rows.update(col)
-        self.echelon = intlinalg.EchelonSystem(columns)
+        self.row_names = sorted({row for col in columns for row in col})
+        self.row_index = {row: i for i, row in enumerate(self.row_names)}
+        index = self.row_index
+        self.echelon = intlinalg.EchelonSystem(
+            [{index[row]: v for row, v in col.items()} for col in columns]
+        )
+
+    def __str__(self) -> str:
+        return (f"{self.window} ({len(self.weights)} columns, "
+                f"{len(self.echelon.kernel)} kernel vectors)")
 
     def solve(self, h: LaurentPoly) -> dict[Weight, int]:
         rhs = {}
@@ -116,19 +128,22 @@ class _WindowSystem:
             r = tuple(sorted(exps, reverse=True))
             if exps == r:
                 row = (0, r)
-                if row not in self.rows:
+                if row not in self.row_index:
                     raise intlinalg.Infeasible(f"target row {row!r} unreachable")
-                rhs[row] = coef
-        x = self.echelon.solve(rhs)
-        x = intlinalg.reduce_by_lattice(
-            x, self._reduction_basis(), lambda i: grlex_key(self.weights[i])
-        )
+                rhs[self.row_index[row]] = coef
+        x = self.echelon.solve(rhs, self.row_names.__getitem__)
+        x = intlinalg.reduce_by_lattice(x, self._lattice)
         return {self.weights[i]: c for i, c in x.items() if c}
 
-    def _reduction_basis(self) -> list[dict[int, int]]:
+    @functools.cached_property
+    def _lattice(self) -> list[tuple[int, dict[int, int]]]:
+        """The kernel lattice in echelon form, or nothing for a kernel
+        above ``_REDUCTION_SIZE_LIMIT``."""
         if len(self.echelon.kernel) > _REDUCTION_SIZE_LIMIT:
             return []
-        return self.echelon.kernel_vectors()
+        return intlinalg.lattice_echelon(
+            self.echelon.kernel_vectors(), lambda i: grlex_key(self.weights[i])
+        )
 
 
 @functools.cache
@@ -158,7 +173,7 @@ def orbit_sum_combination(n: int, coeffs: dict[Weight, int]) -> LaurentPoly:
         mu = tuple(sorted(map(operator.index, mu), reverse=True))
         if len(mu) != n:
             raise ArityMismatch(f"weight {mu} does not match arity {n}")
-        merged[mu] = merged.get(mu, 0) + coef
+        merged[mu] = merged.get(mu, 0) + operator.index(coef)
     return _from_orbits(n, merged)
 
 
@@ -176,9 +191,11 @@ def lift_window(
     PERISYM_MAX_WINDOW environment variable).  Raises
     :class:`WindowTooSmall` when the start is above the cap (before any
     system is built), and it or :class:`NoIntegerSolution` when the
-    search is exhausted.  A lift is reduced modulo the kernel lattice
-    only from windows whose kernel has at most 600 vectors: from
-    (4, Window(6)), with 715, it is exact but not the canonical residue.
+    search is exhausted; its message names every window tried, with its
+    column count and kernel size, and why it failed.  A lift is reduced
+    modulo the kernel lattice only from windows whose kernel has at most
+    600 vectors: from (4, Window(6)), with 715, it is exact but not the
+    canonical residue.
     """
     _check_member(h)
     n = h.arity + 2
@@ -195,25 +212,24 @@ def lift_window(
                 f"the search would start at {Window(start)}, above the cap max_window={cap}"
             )
         attempts = [Window(b) for b in range(start, cap + 1, 2)]
+    tried = []
     for attempt in attempts:
         system = _window_system(n, attempt)
         try:
             coeffs = system.solve(h)
         except intlinalg.Infeasible as exc:
-            failure = WindowTooSmall(
-                f"no preimage with orbit support in {attempt}: {exc}"
-            )
+            error = WindowTooSmall
+            tried.append(f"no preimage with orbit support in {system}: {exc}")
             continue
         except intlinalg.NonIntegral as exc:
-            failure = NoIntegerSolution(
-                f"only non-integral preimages in {attempt}: {exc}"
-            )
+            error = NoIntegerSolution
+            tried.append(f"only non-integral preimages in {system}: {exc}")
             continue
         result = orbit_sum_combination(n, coeffs)
         if ds_eval(result) != h:
             raise AssertionError("lift postcondition failed; please report")
         return result
-    raise failure
+    raise error("; ".join(tried))
 
 
 @dataclass(frozen=True)

@@ -16,11 +16,14 @@ import heapq
 import itertools
 import math
 
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from perisym.intlinalg import EchelonSystem, _axpy, xgcd
+from perisym import lift as lift_module
+from perisym.intlinalg import EchelonSystem, Infeasible, NonIntegral, _axpy, xgcd
 from perisym.lift import Window, _orbit_column, _window_weights
+from perisym.thinkac import sch_thin_kac
 
 
 class reference_echelon:
@@ -144,6 +147,29 @@ def sparse_matrices(draw):
     return list(columns)
 
 
+def reference_solve(ref, rhs):
+    """Forward substitution through the reference pivots, then the sum of
+    d * V_ref over the pivot coordinates d; the exception class when the
+    substitution fails."""
+    b = {k: v for k, v in rhs.items() if v}
+    x = {}
+    for row, ci in ref.pivots:
+        cur = b.get(row, 0)
+        if not cur:
+            continue
+        q, rem = divmod(cur, ref.cols[ci][row])
+        if rem:
+            return NonIntegral
+        for r, v in ref.cols[ci].items():
+            b[r] = b.get(r, 0) - q * v
+        b = {k: v for k, v in b.items() if v}
+        for k, v in ref.V[ci].items():
+            x[k] = x.get(k, 0) + q * v
+    if b:
+        return Infeasible
+    return {k: v for k, v in x.items() if v}
+
+
 class TestEchelonAgainstReference:
     @settings(max_examples=300, deadline=None)
     @given(sparse_matrices())
@@ -193,3 +219,51 @@ class TestOrbitColumn:
     @given(dominant_weights, st.booleans())
     def test_matches_orbit_enumeration(self, mu, include_t_zero):
         assert _orbit_column(mu, include_t_zero) == reference_orbit_column(mu, include_t_zero)
+
+
+class TestReplayedTransformation:
+    """``EchelonSystem`` replays V from its log of column operations; the
+    reference updates V during the elimination."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(columns=sparse_matrices(),
+           coefs=st.lists(st.integers(-3, 3), max_size=18),
+           extra=st.dictionaries(st.integers(0, 9), st.integers(-3, 3), max_size=2))
+    @example(columns=[{2: 12}, {1: 1}, {1: 1, 3: 1}, {2: -4, 3: 1}, {1: 1, 2: -2},
+                      {1: 1, 3: 1}], coefs=[1, -2, 0, 3, 1, -1], extra={})
+    def test_solve_and_kernel_match_reference(self, columns, coefs, extra):
+        rhs = dict(extra)
+        for col, c in zip(columns, coefs):
+            for row, v in col.items():
+                rhs[row] = rhs.get(row, 0) + c * v
+        fast = EchelonSystem(copy.deepcopy(columns))
+        ref = reference_echelon(copy.deepcopy(columns))
+        expected = reference_solve(ref, rhs)
+        if isinstance(expected, dict):
+            assert fast.solve(rhs) == expected
+        else:
+            with pytest.raises(expected):
+                fast.solve(rhs)
+        assert fast.kernel_vectors() == [ref.V[c] for c in ref.kernel]
+
+    def test_window_six_replays_no_kernel_column_until_asked(self, monkeypatch):
+        replayed = []
+        replay = EchelonSystem._replay
+
+        def spy(self, targets):
+            targets = list(targets)
+            replayed.append(set(targets))
+            return replay(self, targets)
+
+        monkeypatch.setattr(EchelonSystem, "_replay", spy)
+        system = lift_module._window_system.__wrapped__(4, Window(6))
+        system.solve(sch_thin_kac((1, 0)))
+        echelon = system.echelon
+        kernel = set(echelon.kernel)
+        assert len(kernel) == 715
+        assert replayed and not any(kernel & cols for cols in replayed)
+        vectors = echelon.kernel_vectors()
+        assert len(vectors) == 715 and kernel <= replayed[-1]
+        count = len(replayed)
+        assert echelon.kernel_vectors() is vectors
+        assert len(replayed) == count

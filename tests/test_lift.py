@@ -1,4 +1,5 @@
 import itertools
+import math
 import random
 
 import pytest
@@ -22,7 +23,10 @@ from perisym import (
     membership_window_basis,
     sch_thin_kac,
 )
+from perisym import intlinalg
 from perisym import lift as lift_module
+from perisym.intlinalg import _axpy, _gcd_pair
+from perisym.laurent import grlex_key
 from perisym.lift import CertificateLevel, orbit_sum_combination
 from perisym.schur import denominator_factors, schur_poly
 
@@ -69,6 +73,30 @@ class TestLiftWindow:
         h = sch_thin_kac((1, 0))
         with pytest.raises(WindowTooSmall):
             lift_window(h, window=Window(1))
+
+    def test_failure_names_the_window_and_its_sizes(self):
+        h = sch_thin_kac((1, 0))
+        columns = math.comb(3 + 4 - 1, 4)  # dominant weights of length 4 in [-1, 1]
+        with pytest.raises(WindowTooSmall,
+                           match=rf"in Window\(bound=1\) \({columns} columns, 0 kernel vectors\)"):
+            lift_window(h, window=Window(1))
+
+    def test_failed_search_names_every_window(self, monkeypatch):
+        # The search for this target tries Window(6) and Window(8); both
+        # are served by systems too small for it.
+        h = sch_thin_kac((1, 0))
+        small = {6: Window(0), 8: Window(1)}
+        build = lift_module._window_system
+        monkeypatch.setattr(lift_module, "_window_system",
+                            lambda n, window: build(n, small[window.bound]))
+        with pytest.raises(WindowTooSmall) as info:
+            lift_window(h, max_window=8)
+        message = str(info.value)
+        for window in small.values():
+            system = build(4, window)
+            assert (f"{window} ({len(system.weights)} columns, "
+                    f"{len(system.echelon.kernel)} kernel vectors)") in message
+        assert message.count("no preimage") == 2
 
     def test_start_above_cap_raises_before_any_system(self, monkeypatch):
         # The search for this target starts at Window(6).
@@ -293,3 +321,65 @@ class TestOrbitSumCombination:
     def test_rejects_wrong_arity(self):
         with pytest.raises(ArityMismatch):
             orbit_sum_combination(2, {(1, 0, 0): 1})
+
+    def test_rejects_non_integer_coefficients(self):
+        with pytest.raises(TypeError):
+            orbit_sum_combination(2, {(1, 0): 2.5})
+        with pytest.raises(TypeError):
+            orbit_sum_combination(2, {(1, 0): "2"})
+
+
+def reference_reduce_by_lattice(x, basis, order_key):
+    """The lattice reduction as first written: echelonize the basis on
+    every call, then floor-reduce x at each leading unknown."""
+    if not basis:
+        return x
+    rows = [(max(r, key=order_key), r) for r in map(dict, basis) if r]
+    echelon = []
+    while rows:
+        lead = max((r_lead for r_lead, _ in rows), key=order_key)
+        group = [r for r_lead, r in rows if r_lead == lead]
+        rest = [(r_lead, r) for r_lead, r in rows if r_lead != lead]
+        head = group[0]
+        for other in group[1:]:
+            a, b = head[lead], other[lead]
+            if b % a == 0:
+                _axpy(other, head, -(b // a))
+            else:
+                head, other = _gcd_pair(head, other, a, b)
+            if other:
+                rest.append((max(other, key=order_key), other))
+        if head[lead] < 0:
+            head = {k: -v for k, v in head.items()}
+        echelon.append((lead, head))
+        rows = rest
+    x = dict(x)
+    for lead, vec in sorted(echelon, key=lambda lv: order_key(lv[0]), reverse=True):
+        q = x.get(lead, 0) // vec[lead]
+        if q:
+            _axpy(x, vec, -q)
+    return {k: v for k, v in x.items() if v}
+
+
+class TestWindowFiveReduction:
+    def test_lifts_equal_the_uncached_reduction(self, monkeypatch):
+        echelons = []
+        lattice_echelon = intlinalg.lattice_echelon
+        monkeypatch.setattr(intlinalg, "lattice_echelon",
+                            lambda *args: echelons.append(args) or lattice_echelon(*args))
+        system = lift_module._window_system.__wrapped__(4, Window(5))
+        basis = system.echelon.kernel_vectors()
+        assert 0 < len(basis) <= lift_module._REDUCTION_SIZE_LIMIT
+        rng = random.Random("window-five")
+        targets = []
+        while len(targets) < 3:
+            h = random_member(2, rng, bound=1, picks=3)
+            if any(len(set(e)) > 1 for e in h.terms):
+                targets.append(h)
+        for h in targets:
+            rhs = {system.row_index[(0, e)]: c for e, c in h.terms.items()
+                   if list(e) == sorted(e, reverse=True)}
+            x = reference_reduce_by_lattice(system.echelon.solve(rhs), basis,
+                                            lambda i: grlex_key(system.weights[i]))
+            assert system.solve(h) == {system.weights[i]: c for i, c in x.items()}
+        assert len(echelons) == 1
