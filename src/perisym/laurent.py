@@ -258,12 +258,15 @@ class LaurentPoly:
 
     def is_symmetric(self) -> bool:
         """True when invariant under every adjacent transposition
-        (equivalently, under the full symmetric group)."""
-        for k in range(self.arity - 1):
-            for exps, coef in self.terms.items():
+        (equivalently, under the full symmetric group).  The work is
+        bounded by the terms, so a zero polynomial of any arity is
+        symmetric at once."""
+        terms = self.terms
+        for exps, coef in terms.items():
+            for k in range(self.arity - 1):
                 if exps[k] != exps[k + 1]:
                     swapped = exps[:k] + (exps[k + 1], exps[k]) + exps[k + 2:]
-                    if self.terms.get(swapped, 0) != coef:
+                    if terms.get(swapped, 0) != coef:
                         return False
         return True
 
@@ -296,8 +299,9 @@ class LaurentPoly:
         """Return ``q`` with ``self == q * divisor``, exactly.
 
         A two-term divisor, such as a factor ``x_i - x_j`` of the
-        Vandermonde or ``1 - x_i x_j`` of R, is divided line by line in
-        time linear in the terms (:func:`_divide_by_binomial`).  Any other
+        Vandermonde or ``1 - x_i x_j`` of R, is divided line by line on
+        packed exponents, in time linear in the terms up to one sort
+        (:func:`_divide_by_binomials` with one factor).  Any other
         divisor goes through sparse division by leading terms
         (:func:`_divide_by_heap`).  Either way a nonzero remainder or a
         non-integral coefficient raises :class:`NotDivisible`.
@@ -308,7 +312,7 @@ class LaurentPoly:
         if self.is_zero():
             return LaurentPoly.zero(self.arity)
         if len(divisor.terms) == 2:
-            return _divide_by_binomial(self, divisor)
+            return _divide_by_binomials(self, (divisor,))
         return _divide_by_heap(self, divisor)
 
     # -- display -----------------------------------------------------------
@@ -389,74 +393,178 @@ def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(n, quot)
 
 
-def _divide_by_binomial(f: LaurentPoly, g: LaurentPoly) -> LaurentPoly:
-    """Exact quotient of nonzero ``f`` by ``g = c1 x^u + c2 x^v``.
+# -- packed exponents ------------------------------------------------------
 
-    With ``d = u - v``, the terms of ``q * g`` that a term of q touches
-    lie on one line ``key + Z d``, so the division splits into
-    independent lines.  Writing ``F_k`` for f's coefficient at
-    ``key + k d`` and ``Q_k`` for q's at ``key + k d - u``,
-    ``F_k = c1 Q_k + c2 Q_{k+1}``: sweeping a line downward from its top
-    term solves for ``Q_k`` one step at a time, through the gaps between
-    f's terms, and the carry past the line's lowest term must vanish.
-    For ``x_i - x_j`` and ``1 - x_i x_j`` the sweep is a running sum.
+
+class _Packing:
+    """Exponent vectors packed into Python ints.
+
+    ``e`` packs to ``sum_k (e_k - offset) * 2**(bits * k)``.  The map is
+    linear up to a constant, so moving a packed vector by ``d`` adds the
+    int :meth:`move` ``(d)``, and a coordinate is read back with a shift
+    and a mask.  It is injective, and :meth:`unpack` inverts it, on the
+    vectors whose coordinates all lie in ``[offset, offset + 2**bits)``:
+    ``low`` and ``high`` must bound every vector that is packed or formed
+    by moving packed vectors.  The arity is at least one, as a two-term
+    polynomial needs.
     """
-    (u, c1), (v, c2) = g.terms.items()
-    d = [a - b for a, b in zip(u, v)]
-    p = next(k for k, a in enumerate(d) if a)
-    if d[p] < 0:
-        u, c1, c2 = v, c2, c1
-        d = [-a for a in d]
-    step = d[p]
-    # Exponents change only where d (or u) is nonzero: two coordinates
-    # for the library's binomials, so only those are touched.
-    d_moved = [(k, a) for k, a in enumerate(d) if a]
-    u_moved = [(k, a) for k, a in enumerate(u) if a]
 
-    # Lines keyed by their point with 0 <= key[p] < step.
-    lines: dict[tuple[int, ...], list[tuple[int, tuple[int, ...], int]]] = {}
-    for e, c in f.terms.items():
-        k = e[p] // step
-        if k:
-            key = list(e)
-            for idx, a in d_moved:
-                key[idx] -= k * a
-            key = tuple(key)
-        else:
-            key = e
-        line = lines.get(key)
-        if line is None:
-            lines[key] = [(k, e, c)]
-        else:
-            line.append((k, e, c))
+    __slots__ = ("offset", "mask", "shifts", "weights")
 
-    quot: dict[tuple[int, ...], int] = {}
-    for line in lines.values():
-        line.sort(reverse=True)
-        carry = 0
-        for k, e, c in line:
+    def __init__(self, arity: int, low: int, high: int):
+        bits = max(high - low, 1).bit_length()
+        self.offset = low
+        self.mask = (1 << bits) - 1
+        self.shifts = range(0, bits * arity, bits)
+        self.weights = [1 << s for s in self.shifts]
+
+    def move(self, d: Iterable[int]) -> int:
+        return sum(map(operator.mul, d, self.weights))
+
+    # Both directions work a coordinate at a time over all terms, which
+    # takes about two thirds of the time of a loop over each vector.
+
+    def pack(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
+        keys = [-self.offset * sum(self.weights)] * len(terms)
+        for s, column in zip(self.shifts, zip(*terms)):
+            keys = list(map(operator.add, keys, [e << s for e in column]))
+        return dict(zip(keys, terms.values()))
+
+    def unpack(self, packed: dict[int, int]) -> dict[tuple[int, ...], int]:
+        """The exponent tuples of packed terms; zero coefficients are dropped."""
+        mask, offset = self.mask, self.offset
+        packed = {e: c for e, c in packed.items() if c}
+        columns = [[(e >> s & mask) + offset for e in packed] for s in self.shifts]
+        return dict(zip(zip(*columns), packed.values()))
+
+
+def _box(terms: Iterable[tuple[int, ...]]) -> tuple[list[int], list[int]]:
+    """Coordinatewise minima and maxima of nonempty exponent vectors."""
+    columns = list(zip(*terms))
+    return list(map(min, columns)), list(map(max, columns))
+
+
+def _divide_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Exact quotient of ``f`` by the product of two-term ``factors``:
+    one pack (:class:`_Packing`), one line sweep per factor, one unpack.
+
+    For a factor ``c1 x^u + c2 x^v``, ordered so that ``d = u - v`` has
+    its first nonzero entry ``d_p = step > 0``, the terms of ``q * g``
+    that a term of q touches lie on one line ``key + Z d``, with
+    ``key = e - (e_p // step) d``.  Writing ``F_k`` for the dividend's
+    coefficient at ``key + k d`` and ``Q_k`` for q's at ``key + k d - u``,
+    ``F_k = c1 Q_k + c2 Q_{k+1}``: a sweep down each line from its top
+    term solves for ``Q_k`` step by step, through the gaps between the
+    dividend's terms, and the carry past the line's lowest term must
+    vanish; otherwise, or when c1 does not divide a coefficient,
+    :class:`NotDivisible` is raised.  Packed, moving by d adds one int D,
+    the line key is ``E - k D``, and every line runs down in the order of
+    E (descending when D > 0), so one sort serves all lines.
+
+    Packing invariant: offset and bits are chosen so that every vector a
+    sweep forms has its coordinates in ``[offset, offset + 2**bits)``.
+    These are the dividend's terms; the quotient positions, its exponent
+    box shifted by ``-u`` (for ``1 - x_i x_j``, one step down); and the
+    line keys, whose coordinates ``e_m - (e_p // step) d_m`` include, for
+    ``1 - x_i x_j``, the difference ``e_j - e_i`` of two exponents, so
+    ``2**bits`` exceeds about twice the box width.  An exact quotient's
+    box is the dividend's box minus the factor's, so each factor's bounds
+    come from the box its dividend must have; a sweep that is not exact
+    raises before the next one starts.  Under the invariant the packing is
+    injective on every set the sweep keys by, so the quotient equals that
+    of the same sweep on exponent tuples term for term, and NotDivisible
+    is raised exactly when a factor does not divide.
+    """
+    factors = tuple(factors)
+    if not factors or f.is_zero():
+        return f
+    n = f.arity
+    lo, hi = _box(f.terms)
+    low, high = min(lo), max(hi)
+    sweeps = []
+    for g in factors:
+        (u, c1), (v, c2) = g.terms.items()
+        d = list(map(operator.sub, u, v))
+        p = next(k for k, a in enumerate(d) if a)
+        if d[p] < 0:
+            u, c1, v, c2 = v, c2, u, c1
+            d = [-a for a in d]
+        step = d[p]
+        k_lo, k_hi = lo[p] // step, hi[p] // step
+        low = min(low, *map(operator.sub, lo, u),
+                  *(l - max(a * k_lo, a * k_hi) for l, a in zip(lo, d)))
+        high = max(high, *map(operator.sub, hi, u),
+                   *(h - min(a * k_lo, a * k_hi) for h, a in zip(hi, d)))
+        sweeps.append((u, c1, c2, d, p, step))
+        lo = [l - min(a, b) for l, a, b in zip(lo, u, v)]
+        hi = [h - max(a, b) for h, a, b in zip(hi, u, v)]
+
+    packing = _Packing(n, low, high)
+    mask, offset = packing.mask, packing.offset
+    terms = packing.pack(f.terms)
+    for u, c1, c2, d, p, step in sweeps:
+        U, D, shift = packing.move(u), packing.move(d), packing.shifts[p]
+        quot: dict[int, int] = {}
+        lines: dict[int, tuple[int, int]] = {}  # key -> (carry, last quotient position)
+        get = lines.get
+        unit = c1 in (1, -1)
+        for e in sorted(terms, reverse=D > 0):
+            key = e - ((e >> shift & mask) + offset) // step * D
+            carry, q = get(key, (0, None))
+            end = e - U
             if carry:
-                # f has no terms strictly between the previous position
-                # and k; the quotient runs on through them.
-                for _ in range(above - 1 - k):
-                    for idx, a in d_moved:
-                        q_exps[idx] -= a
+                # The dividend has no terms strictly between the previous
+                # position and e; the quotient runs on through them.
+                while (q := q - D) != end:
                     carry, r = divmod(-c2 * carry, c1)
                     if r:
                         raise NotDivisible("coefficient not divisible")
-                    quot[tuple(q_exps)] = carry
-            carry, r = divmod(c - c2 * carry, c1)
-            if r:
-                raise NotDivisible("coefficient not divisible")
+                    quot[q] = carry
+            if unit:
+                carry = (terms[e] - c2 * carry) * c1
+            else:
+                carry, r = divmod(terms[e] - c2 * carry, c1)
+                if r:
+                    raise NotDivisible("coefficient not divisible")
             if carry:
-                q_exps = list(e)
-                for idx, a in u_moved:
-                    q_exps[idx] -= a
-                quot[tuple(q_exps)] = carry
-            above = k
-        if carry:
+                quot[end] = carry
+            lines[key] = (carry, end)
+        if any(carry for carry, _ in lines.values()):
             raise NotDivisible("nonzero remainder at the end of a line")
-    return LaurentPoly._raw(f.arity, quot)
+        terms = quot
+    return LaurentPoly._raw(n, packing.unpack(terms))
+
+
+def _multiply_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    """``f`` times the product of two-term ``factors`` on packed
+    exponents (:class:`_Packing`): per factor ``c1 x^u + c2 x^v``, the
+    terms are copied moved by u (a plain copy for ``1 - x_i x_j``) and
+    added in moved by v.  The bounds are the boxes of the partial
+    products.  Zeros are dropped once, on unpacking.
+    """
+    factors = tuple(factors)
+    if not factors or f.is_zero():
+        return f
+    n = f.arity
+    lo, hi = _box(f.terms)
+    low, high = min(lo), max(hi)
+    for g in factors:
+        (u, _), (v, _) = g.terms.items()
+        lo = [l + min(a, b) for l, a, b in zip(lo, u, v)]
+        hi = [h + max(a, b) for h, a, b in zip(hi, u, v)]
+        low, high = min(low, *lo), max(high, *hi)
+    packing = _Packing(n, low, high)
+    terms = packing.pack(f.terms)
+    for g in factors:
+        (u, c1), (v, c2) = g.terms.items()
+        U, V = packing.move(u), packing.move(v)
+        out = dict(terms) if not U and c1 == 1 else {e + U: c1 * c for e, c in terms.items()}
+        get = out.get
+        for e, c in terms.items():
+            e += V
+            out[e] = get(e, 0) + c2 * c
+        terms = out
+    return LaurentPoly._raw(n, packing.unpack(terms))
 
 
 class TSlice:

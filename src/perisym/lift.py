@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 from . import intlinalg
 from .errors import ArityMismatch, NoIntegerSolution, WindowTooSmall
-from .dsmap import _check_member, ds_eval, kernel_decompose
+from .dsmap import _check_member, _kernel_coordinates, ds_eval
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
 from .schur import SchurExpansion
 from .thinkac import thin_kac_combination
@@ -198,6 +198,12 @@ def lift_window(
     canonical residue.
     """
     _check_member(h)
+    return _lift(h, window, max_window)
+
+
+def _lift(h: LaurentPoly, window: Window | None, max_window: int | None) -> LaurentPoly:
+    """:func:`lift_window` for an h already known to lie in J_{n-2}; the
+    postcondition ``ds_eval(lift) == h`` is still checked."""
     n = h.arity + 2
     direct = _diagonal_lift(h, n)
     if direct is not None:
@@ -283,16 +289,23 @@ def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
     At each rank the evaluation image is certified first, then lifted
     back; the remainder lies in the kernel and is decomposed over thin-Kac
     supercharacters.  The certificate reconstructs ``f`` exactly.
+
+    Only ``f`` is checked for membership.  The images, lift targets and
+    remainders below it are in J by construction, so they are not checked
+    again; the lift postcondition still is, and so is the exact division
+    of each remainder by R, which fails unless its evaluation vanishes.
     """
     _check_member(f)
+    return _certify(f, max_window)
+
+
+def _certify(f: LaurentPoly, max_window: int | None) -> Certificate:
     if f.arity <= 1:
         return Certificate((), f)
     h = ds_eval(f)
-    below = certify(h, max_window=max_window)
-    lift_part = lift_window(h, max_window=max_window)
-    remainder = f - lift_part
-    coeffs = kernel_decompose(remainder)
-    level = CertificateLevel(f.arity, lift_part, coeffs)
+    below = _certify(h, max_window)
+    lift_part = _lift(h, None, max_window)
+    level = CertificateLevel(f.arity, lift_part, _kernel_coordinates(f - lift_part))
     return Certificate((level,) + below.levels, below.bottom)
 
 

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, _from_orbits, _read_only
+from .laurent import LaurentPoly, _from_orbits, _multiply_by_binomials, _read_only
 from .schur import SchurExpansion, _WeightCombination, denominator_factors
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
@@ -43,16 +43,16 @@ def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPol
 
     Computed as R * sum_lam (-1)^parity(lam) c_lam s_lam: the Schur
     expansion is turned into one polynomial by
-    :meth:`schur.SchurExpansion.to_poly`, then multiplied by the binomial
-    factors of R, so no thin-Kac supercharacter or s_lam is built or
-    cached.
+    :meth:`schur.SchurExpansion.to_poly`, then multiplied by all the
+    binomial factors of R on packed exponents
+    (:func:`laurent._multiply_by_binomials`: one pack, a copy and a
+    shift-add per factor, one unpack), so no thin-Kac supercharacter or
+    s_lam is built or cached.
     """
     out = SchurExpansion(arity, {
         lam: -coef if parity(lam) else coef for lam, coef in coeffs.items()
     }).to_poly()
-    for factor in denominator_factors(arity)[0]:
-        out = out * factor
-    return out
+    return _multiply_by_binomials(out, denominator_factors(arity)[0])
 
 
 def kclass_sch(cls: KClass) -> LaurentPoly:
