@@ -5,18 +5,19 @@ ring J_n when the evaluation ``x_i = t, x_j = t^{-1}`` is independent of
 ``t`` (one pair suffices by symmetry).  On J_n the evaluation at the last
 pair, with the t-free part compressed to ``n - 2`` variables, is a ring
 homomorphism ``J_n -> J_{n-2}`` whose kernel is spanned by the thin-Kac
-supercharacters; :func:`kernel_decompose` computes those coordinates.
+supercharacters; :func:`kernel_decompose` checks that its argument lies
+in that kernel, then reads its coordinates from :mod:`thinkac`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Literal, Mapping
+from typing import Literal
 
 from .errors import ArityMismatch, NotInKernel, NotMember, NotSymmetric
-from .laurent import LaurentPoly, _divide_by_binomials
-from .schur import SchurExpansion, _alternant_coefficients, denominator_factors, schur_expand
-from .weights import Weight, parity
+from .laurent import LaurentPoly
+from .schur import SchurExpansion
+from .thinkac import _thin_kac_coordinates
 
 
 @dataclass(frozen=True)
@@ -93,44 +94,16 @@ def kernel_decompose(f: LaurentPoly) -> SchurExpansion:
     Requires f in J_n with vanishing evaluation; then f is exactly
     divisible by R = prod_{i<j}(1 - x_i x_j) and the quotient's Schur
     coefficients, parity-signed, satisfy
-    ``f = sum_lam c_lam * sch_thin_kac(lam)``.  The quotient is taken by
-    :func:`_divide_by_r`.
+    ``f = sum_lam c_lam * sch_thin_kac(lam)``.  After the checks the
+    coordinates come from :func:`thinkac._thin_kac_coordinates`, the
+    inverse of :func:`thinkac.thin_kac_combination`.
     """
-    n = f.arity
-    if n < 2:
+    if f.arity < 2:
         raise ArityMismatch("kernel decomposition needs at least two variables")
     _check_member(f)
     if not ds_eval(f).is_zero():
         raise NotInKernel("the evaluation image is nonzero")
-    return _thin_kac_coordinates(n, schur_expand(_divide_by_r(f)).coeffs)
-
-
-def _divide_by_r(f: LaurentPoly) -> LaurentPoly:
-    """The exact quotient f / R, all C(n, 2) binomial factors of R divided
-    out in one packed sweep each (:func:`laurent._divide_by_binomials`:
-    one pack, one unpack).  Raises NotDivisible when R does not divide f.
-    """
-    return _divide_by_binomials(f, denominator_factors(f.arity)[0])
-
-
-def _thin_kac_coordinates(n: int, schur_coeffs: Mapping[Weight, int]) -> SchurExpansion:
-    """Thin-Kac coordinates from the Schur coefficients of f / R: each
-    signed by the parity of its weight."""
-    return SchurExpansion(n, {
-        lam: -coef if parity(lam) else coef for lam, coef in schur_coeffs.items()
-    })
-
-
-def _kernel_coordinates(f: LaurentPoly) -> SchurExpansion:
-    """:func:`kernel_decompose` for an f already known to be symmetric,
-    with no membership or evaluation check.  R contains the factor
-    1 - x_{n-1} x_n, which vanishes at x_{n-1} = t, x_n = 1/t, so exact
-    division by R (NotDivisible otherwise) already implies a zero
-    evaluation.  The quotient of a symmetric f by the symmetric R is
-    symmetric, so its Schur coefficients are its alternant coefficients
-    without a second symmetry pass.
-    """
-    return _thin_kac_coordinates(f.arity, _alternant_coefficients(_divide_by_r(f)))
+    return _thin_kac_coordinates(f)
 
 
 def filtration_level(f: LaurentPoly) -> int:

@@ -115,8 +115,8 @@ class EchelonSystem:
     flip of a pivot.  The constructor replays only the operations that
     reach the pivot columns, which are all :meth:`solve` reads.
     :meth:`kernel_vectors` replays those that reach the kernel columns
-    on its first call, and :attr:`V` replays the whole log.  A replay
-    does the same arithmetic in the same order as updating V would.
+    on its first call.  A replay does the same arithmetic in the same
+    order as updating V would.
     """
 
     def __init__(self, columns: list[dict]):
@@ -238,11 +238,6 @@ class EchelonSystem:
                 p = op[0]
                 V[p] = {k: -v for k, v in V[p].items()}
         return {i: V[i] for i in targets}
-
-    @property
-    def V(self) -> list[dict[int, int]]:
-        """The whole transformation, replayed from the log on each access."""
-        return list(self._replay(range(len(self.cols))).values())
 
     def solve(self, rhs: dict, row_name=lambda row: row) -> dict[int, int]:
         """An integer solution of A x = rhs in original coordinates.

@@ -9,7 +9,7 @@ integer linear system (t-dependent slice coefficients must vanish, the
 t-free part must equal ``h``), using a Hermite-style column echelon that
 is factored once per window and reused across targets.
 
-``certify`` recurses this construction down the rank chain, recording at
+``certify`` repeats this construction down the rank chain, recording at
 each rank the chosen lift together with the thin-Kac coordinates of the
 kernel remainder.  Replaying the records reconstructs the input exactly.
 """
@@ -24,10 +24,10 @@ from dataclasses import dataclass
 
 from . import intlinalg
 from .errors import ArityMismatch, NoIntegerSolution, WindowTooSmall
-from .dsmap import _check_member, _kernel_coordinates, ds_eval
+from .dsmap import _check_member, ds_eval
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
 from .schur import SchurExpansion
-from .thinkac import thin_kac_combination
+from .thinkac import _thin_kac_coordinates, thin_kac_combination
 from .weights import Weight
 
 DEFAULT_MAX_WINDOW = 12
@@ -284,7 +284,7 @@ class Certificate:
 
 
 def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
-    """Recursive peel-and-lift certificate for an element of J_n.
+    """Peel-and-lift certificate for an element of J_n.
 
     At each rank the evaluation image is certified first, then lifted
     back; the remainder lies in the kernel and is decomposed over thin-Kac
@@ -300,13 +300,17 @@ def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
 
 
 def _certify(f: LaurentPoly, max_window: int | None) -> Certificate:
-    if f.arity <= 1:
-        return Certificate((), f)
-    h = ds_eval(f)
-    below = _certify(h, max_window)
-    lift_part = _lift(h, None, max_window)
-    level = CertificateLevel(f.arity, lift_part, _kernel_coordinates(f - lift_part))
-    return Certificate((level,) + below.levels, below.bottom)
+    """Walk the rank chain in two loops: every evaluation image top-down,
+    then the lifts and kernel coordinates bottom-up."""
+    chain = [f]
+    while chain[-1].arity > 1:
+        chain.append(ds_eval(chain[-1]))
+    levels = []
+    for upper, h in reversed(list(zip(chain, chain[1:]))):
+        lift_part = _lift(h, None, max_window)
+        levels.append(CertificateLevel(upper.arity, lift_part,
+                                       _thin_kac_coordinates(upper - lift_part)))
+    return Certificate(tuple(reversed(levels)), chain[-1])
 
 
 @functools.cache

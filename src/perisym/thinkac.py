@@ -6,14 +6,19 @@ integer combinations of these classes form :class:`KClass`; the
 translation operators act on them by moving a single bead of the weight
 diagram, with signs normalized so that summing over all positions
 reproduces multiplication by the supercharacter of the standard module.
+
+:func:`thin_kac_combination` and its inverse :func:`_thin_kac_coordinates`
+are the two directions of the change of basis to polynomials.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping
 
-from .laurent import LaurentPoly, _from_orbits, _multiply_by_binomials, _read_only
-from .schur import SchurExpansion, _WeightCombination, denominator_factors
+from .laurent import (LaurentPoly, _divide_by_binomials, _from_orbits,
+                      _multiply_by_binomials, _read_only)
+from .schur import (SchurExpansion, _WeightCombination, _alternant_coefficients,
+                    denominator_factors)
 from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
@@ -39,20 +44,37 @@ def sch_thin_kac(lam: Iterable[int]) -> LaurentPoly:
 
 def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPoly:
     """The polynomial sum_lam c_lam * sch_thin_kac(lam) for thin-Kac
-    coordinates ``coeffs`` in ``arity`` variables.
-
-    Computed as R * sum_lam (-1)^parity(lam) c_lam s_lam: the Schur
-    expansion is turned into one polynomial by
-    :meth:`schur.SchurExpansion.to_poly`, then multiplied by all the
-    binomial factors of R on packed exponents
-    (:func:`laurent._multiply_by_binomials`: one pack, a copy and a
-    shift-add per factor, one unpack), so no thin-Kac supercharacter or
-    s_lam is built or cached.
+    coordinates ``coeffs`` in ``arity`` variables: the Schur sum
+    sum_lam (-1)^parity(lam) c_lam s_lam, written once
+    (:meth:`schur.SchurExpansion.to_poly`) and multiplied by the factors
+    of R on packed exponents (:func:`laurent._multiply_by_binomials`).
+    No thin-Kac supercharacter or s_lam is built, and a zero sum is
+    returned before the factors of R are.
     """
-    out = SchurExpansion(arity, {
-        lam: -coef if parity(lam) else coef for lam, coef in coeffs.items()
-    }).to_poly()
+    out = SchurExpansion(arity, _parity_signed(coeffs)).to_poly()
+    if out.is_zero():
+        return out
     return _multiply_by_binomials(out, denominator_factors(arity)[0])
+
+
+def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
+    """Thin-Kac coordinates of a symmetric f in the kernel of the
+    evaluation map, unchecked: the inverse of :func:`thin_kac_combination`.
+    Exact division by R (NotDivisible otherwise) implies a zero
+    evaluation, as R has the factor 1 - x_{n-1} x_n.  The quotient is
+    symmetric, so its alternant coefficients are its Schur coefficients.
+    A zero f is answered before the factors of R are built.
+    """
+    if f.is_zero():
+        return SchurExpansion(f.arity)
+    quotient = _divide_by_binomials(f, denominator_factors(f.arity)[0])
+    return SchurExpansion(f.arity, _parity_signed(_alternant_coefficients(quotient)))
+
+
+def _parity_signed(coeffs: Mapping[Weight, int]) -> dict[Weight, int]:
+    """c_lam -> (-1)^parity(lam) c_lam, the sign between thin-Kac
+    coordinates and the Schur coordinates of f / R, in either direction."""
+    return {lam: -coef if parity(lam) else coef for lam, coef in coeffs.items()}
 
 
 def kclass_sch(cls: KClass) -> LaurentPoly:

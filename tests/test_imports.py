@@ -1,0 +1,27 @@
+"""Every perisym module imports on its own in a fresh interpreter, so no
+import cycle depends on which module a program names first."""
+
+import os
+import pkgutil
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import perisym
+
+MODULES = ["perisym"] + sorted(
+    f"perisym.{info.name}" for info in pkgutil.iter_modules(perisym.__path__))
+
+
+def test_every_module_is_listed():
+    assert {"perisym.dsmap", "perisym.thinkac", "perisym.lift"} <= set(MODULES)
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_module_imports_alone(module):
+    env = dict(os.environ, PYTHONPATH=str(Path(perisym.__file__).parents[1]))
+    done = subprocess.run([sys.executable, "-c", f"import {module}"], capture_output=True,
+                          text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr

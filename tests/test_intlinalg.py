@@ -129,7 +129,7 @@ def assert_same_factorization(columns):
     assert fast.pivots == ref.pivots
     assert fast.kernel == ref.kernel
     assert fast.cols == ref.cols
-    assert fast.V == ref.V
+    assert list(fast._replay(range(len(fast.cols))).values()) == ref.V
 
 
 @st.composite
