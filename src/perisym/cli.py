@@ -8,6 +8,7 @@ stdin.  Exit codes: 0 on success, 1 on usage errors, 2 on domain errors
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import sys
 
@@ -203,8 +204,10 @@ def certify_cmd(n, payload, max_window):
 @cli.command("verify-suite")
 @click.option("--criteria", default=None,
               help="comma-separated criterion numbers (default: all)")
+@click.option("--json", "as_json", is_flag=True,
+              help="write one JSON object with every criterion's result instead of lines")
 @click.pass_context
-def verify_suite(ctx, criteria):
+def verify_suite(ctx, criteria, as_json):
     """Run the acceptance battery; nonzero exit on any failure."""
     numbers = None
     if criteria:
@@ -217,25 +220,29 @@ def verify_suite(ctx, criteria):
         if unknown:
             raise click.UsageError(f"unknown criterion numbers {unknown}; "
                                    f"expected 1..{len(ALL_CRITERIA)}")
-    results = run_all(report=click.echo, numbers=numbers)
+    results = run_all(report=None if as_json else click.echo, numbers=numbers)
     failed = [r for r in results if not r.passed]
-    click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
+    if as_json:
+        _emit({"criteria": [dataclasses.asdict(r) for r in results],
+               "passed": len(results) - len(failed), "total": len(results)})
+    else:
+        click.echo(f"{len(results) - len(failed)}/{len(results)} criteria passed")
     if failed:
         ctx.exit(1)
 
 
 def main(argv=None) -> int:
     try:
-        cli.main(args=argv, standalone_mode=False)
-    except click.exceptions.Exit as exc:
-        return exc.exit_code
+        # Without standalone mode, click returns the code of a ctx.exit
+        # instead of raising it; the commands themselves return None.
+        code = cli.main(args=argv, standalone_mode=False)
     except click.ClickException as exc:
         exc.show(file=sys.stderr)
         return 1
     except PerisymError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
-    return 0
+    return code or 0
 
 
 if __name__ == "__main__":

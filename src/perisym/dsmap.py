@@ -73,7 +73,7 @@ def ds_eval(f: LaurentPoly) -> LaurentPoly:
         raise NotMember(
             f"t-dependent slice term with t-exponent {witness[0]}", witness=witness
         )
-    return LaurentPoly(n - 2, tslice.constant_part())
+    return LaurentPoly._raw(n - 2, tslice.constant_part())
 
 
 def ds_power(f: LaurentPoly, k: int) -> LaurentPoly:

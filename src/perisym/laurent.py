@@ -288,9 +288,15 @@ class LaurentPoly:
         lo, hi = min(a, b), max(a, b)
         terms: dict[tuple[int, tuple[int, ...]], int] = {}
         get = terms.get
-        for exps, coef in self.terms.items():
-            key = (exps[a] - exps[b], exps[:lo] + exps[lo + 1:hi] + exps[hi + 1:])
-            terms[key] = get(key, 0) + coef
+        if (lo, hi) == (n - 2, n - 1):
+            # The pair of the evaluation map: the rest is a prefix.
+            for exps, coef in self.terms.items():
+                key = (exps[a] - exps[b], exps[:lo])
+                terms[key] = get(key, 0) + coef
+        else:
+            for exps, coef in self.terms.items():
+                key = (exps[a] - exps[b], exps[:lo] + exps[lo + 1:hi] + exps[hi + 1:])
+                terms[key] = get(key, 0) + coef
         return TSlice(n, (i, j), {key: c for key, c in terms.items() if c})
 
     # -- exact division ---------------------------------------------------
@@ -666,17 +672,15 @@ def sort_sign(values: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
     """Sign of the permutation sorting ``values`` strictly decreasing.
 
     Returns ``(sign, sorted_tuple)``, or None when two entries collide
-    (the alternant vanishes).
+    (the alternant vanishes).  The sign is looked up by the sorting
+    permutation (:func:`_permutation_sign`).
     """
     vals = tuple(values)
-    sign = 1
-    for a in range(len(vals)):
-        for b in range(a + 1, len(vals)):
-            if vals[a] == vals[b]:
-                return None
-            if vals[a] < vals[b]:
-                sign = -sign
-    return sign, tuple(sorted(vals, reverse=True))
+    n = len(vals)
+    if len(set(vals)) < n:
+        return None
+    order = tuple(sorted(range(n), key=vals.__getitem__, reverse=True))
+    return _permutation_sign(order), tuple(map(vals.__getitem__, order))
 
 
 def straighten_alternant(nu: Iterable[int]) -> tuple[int, tuple[int, ...]] | None:
@@ -691,9 +695,7 @@ def straighten_alternant(nu: Iterable[int]) -> tuple[int, tuple[int, ...]] | Non
     if res is None:
         return None
     sign, sorted_desc = res
-    n = len(sorted_desc)
-    lam = tuple(sorted_desc[i] - (n - 1 - i) for i in range(n))
-    return sign, lam
+    return sign, tuple(map(operator.sub, sorted_desc, range(len(sorted_desc) - 1, -1, -1)))
 
 
 @functools.cache
@@ -713,16 +715,67 @@ def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
     return tuple(out)
 
 
+# Arities up to this one read permutation signs and orbit arrangements
+# from tables built once per arity or label word (at most 720 entries
+# each); longer ones count cycles and expand every permutation.
+_TABLE_ARITY = 6
+
+
+@functools.cache
+def _sign_table(n: int) -> dict[tuple[int, ...], int]:
+    return dict(permutations_with_signs(n))
+
+
+def _permutation_sign(perm: tuple[int, ...]) -> int:
+    """The signature of a permutation of 0..n-1 given as an index tuple."""
+    n = len(perm)
+    if n <= _TABLE_ARITY:
+        return _sign_table(n)[perm]
+    sign = 1
+    seen = [False] * n
+    for start in range(n):
+        if not seen[start]:
+            seen[start] = True
+            at = perm[start]
+            while at != start:
+                seen[at] = True
+                at = perm[at]
+                sign = -sign
+    return sign
+
+
+@functools.cache
+def _arrangement_getters(labels: tuple[int, ...]) -> tuple[operator.itemgetter, ...]:
+    """One getter per distinct arrangement of a weight whose entry at
+    position j first occurs at position ``labels[j]``: applied to the
+    weight, the getters return its distinct permutations, in the order in
+    which ``itertools.permutations`` first yields them.  Cached per label
+    word: a weakly decreasing weight of arity n has one of 2^(n-1)."""
+    return tuple(operator.itemgetter(*word)
+                 for word in dict.fromkeys(itertools.permutations(labels)))
+
+
 def _from_orbits(arity: int, coeffs: Mapping[tuple[int, ...], int]) -> LaurentPoly:
     """The symmetric polynomial sum_mu c_mu m_mu: each nonzero c_mu is
-    written at every permutation of mu, so the keys must lie in distinct
-    orbits.  Permutations repeat when mu has equal entries; skipping them
-    in Python costs about what ``itertools.permutations`` spends on them.
+    written at every distinct permutation of mu, so the keys must lie in
+    distinct orbits.
+
+    A mu with distinct entries has n! distinct permutations, which
+    ``itertools.permutations`` yields directly.  A mu that repeats an
+    entry has fewer, often far fewer (6 of 720 for (a, a, a, a, b, b)),
+    and up to arity ``_TABLE_ARITY`` only those are written, through the
+    getters of its label word (:func:`_arrangement_getters`).  Terms are
+    inserted in the order of first appearance in
+    ``itertools.permutations(mu)`` either way.
     """
     terms: dict[tuple[int, ...], int] = {}
     for mu, coef in coeffs.items():
         if coef:
-            terms.update(dict.fromkeys(itertools.permutations(mu), coef))
+            if arity > _TABLE_ARITY or len(set(mu)) == arity:
+                terms.update(dict.fromkeys(itertools.permutations(mu), coef))
+            else:
+                getters = _arrangement_getters(tuple(map(mu.index, mu)))
+                terms.update(dict.fromkeys([get(mu) for get in getters], coef))
     return LaurentPoly._raw(arity, terms)
 
 

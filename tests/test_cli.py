@@ -160,6 +160,38 @@ class TestCommands:
         assert "criterion 7 [PASS]" in out
         assert "1/1 criteria passed" in out
 
+    def test_verify_suite_json(self, capsys):
+        code, data = run_json(capsys, "verify-suite", "--criteria", "7,8", "--json")
+        assert code == 0
+        assert [c["number"] for c in data["criteria"]] == [7, 8]
+        for c in data["criteria"]:
+            assert set(c) == {"number", "name", "passed", "detail", "seconds"}
+            assert c["passed"] is True and isinstance(c["seconds"], float)
+        assert (data["passed"], data["total"]) == (2, 2)
+
+    @staticmethod
+    def fail_criterion_7(monkeypatch):
+        from perisym import verify
+        failing = verify.CriterionResult(7, "denominator identity", False, "forced", 0.0)
+        criteria = list(verify.ALL_CRITERIA)
+        criteria[6] = lambda: failing
+        monkeypatch.setattr(verify, "ALL_CRITERIA", tuple(criteria))
+
+    def test_verify_suite_failure_exits_nonzero(self, capsys, monkeypatch):
+        self.fail_criterion_7(monkeypatch)
+        code, out = run(capsys, "verify-suite", "--criteria", "7")
+        assert code == 1
+        assert out.splitlines() == ["criterion 7 [FAIL] denominator identity: forced (0.0s)",
+                                    "0/1 criteria passed"]
+
+    def test_verify_suite_json_reports_failure(self, capsys, monkeypatch):
+        self.fail_criterion_7(monkeypatch)
+        code, data = run_json(capsys, "verify-suite", "--criteria", "7", "--json")
+        assert code == 1
+        assert data == {"criteria": [{"number": 7, "name": "denominator identity",
+                                      "passed": False, "detail": "forced", "seconds": 0.0}],
+                        "passed": 0, "total": 1}
+
 
 class TestExitCodes:
     def test_usage_error_missing_flag(self, capsys):

@@ -114,6 +114,24 @@ class TestSubstitutePair:
         s = P(2, {(1, 0): 1, (0, 1): 1}).substitute_pair(1, 2)
         assert s.t_witness() == (1, ())
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(2, 5).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.tuples(*[st.integers(-2, 2)] * n), st.integers(-3, 3), max_size=8),
+        st.permutations(range(1, n + 1)))))
+    def test_every_pair_against_reference(self, case):
+        """Every ordered pair, the evaluation pair (n-1, n) included,
+        against slices built by deleting the two positions from a list."""
+        n, terms, (i, j, *_) = case
+        f = P(n, terms)
+        for pair in ((i, j), (n - 1, n), (n, n - 1)):
+            expected = {}
+            for exps, coef in f.terms.items():
+                rest = [e for pos, e in enumerate(exps, start=1) if pos not in pair]
+                key = (exps[pair[0] - 1] - exps[pair[1] - 1], tuple(rest))
+                expected[key] = expected.get(key, 0) + coef
+            assert f.substitute_pair(*pair).terms == {k: c for k, c in expected.items() if c}
+
 
 class TestExactDivide:
     def test_geometric_factor(self):
