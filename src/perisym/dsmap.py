@@ -91,12 +91,13 @@ def ds_power(f: LaurentPoly, k: int) -> LaurentPoly:
 def kernel_decompose(f: LaurentPoly) -> SchurExpansion:
     """Coordinates of a kernel element over thin-Kac supercharacters.
 
-    Requires f in J_n with vanishing evaluation; then f is exactly
-    divisible by R = prod_{i<j}(1 - x_i x_j) and the quotient's Schur
-    coefficients, parity-signed, satisfy
+    Requires f in J_n with vanishing evaluation; then f = R q with
+    R = prod_{i<j}(1 - x_i x_j) and q symmetric, and the Schur
+    coefficients of q, parity-signed, satisfy
     ``f = sum_lam c_lam * sch_thin_kac(lam)``.  After the checks the
     coordinates come from :func:`thinkac._thin_kac_coordinates`, the
-    inverse of :func:`thinkac.thin_kac_combination`.
+    inverse of :func:`thinkac.thin_kac_combination`, which reads them
+    from the Schur coefficients of f without dividing by R.
     """
     if f.arity < 2:
         raise ArityMismatch("kernel decomposition needs at least two variables")

@@ -717,7 +717,7 @@ def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
 
 # Arities up to this one read permutation signs and orbit arrangements
 # from tables built once per arity or label word (at most 720 entries
-# each); longer ones count cycles and expand every permutation.
+# each); longer ones count cycles and build the arrangements uncached.
 _TABLE_ARITY = 6
 
 
@@ -755,27 +755,45 @@ def _arrangement_getters(labels: tuple[int, ...]) -> tuple[operator.itemgetter, 
                  for word in dict.fromkeys(itertools.permutations(labels)))
 
 
+def _arrangements(mu: tuple[int, ...]) -> Iterable[tuple[int, ...]]:
+    """The distinct permutations of mu, in the order in which
+    ``itertools.permutations(mu)`` first yields them.
+
+    A mu with distinct entries has n! of them, which
+    ``itertools.permutations`` yields directly.  A mu that repeats an
+    entry has fewer, often far fewer (6 of 720 for (a, a, a, a, b, b)).
+    Up to arity ``_TABLE_ARITY`` they are read through the getters of its
+    label word (:func:`_arrangement_getters`).  Above it they are built
+    one position at a time, uncached: the first appearance of an
+    arrangement takes, at each position, the first unused occurrence of
+    its entry, so the arrangements that agree up to a position continue
+    with the distinct entries left, in the order of their first
+    remaining occurrence.
+    """
+    n = len(mu)
+    if len(set(mu)) == n:
+        return itertools.permutations(mu)
+    if n <= _TABLE_ARITY:
+        return [get(mu) for get in _arrangement_getters(tuple(map(mu.index, mu)))]
+    layer = [((), mu)]
+    for _ in range(n):
+        layer = [(head + (v,), rest[:i] + rest[i + 1:])
+                 for head, rest in layer
+                 for v in dict.fromkeys(rest)
+                 for i in (rest.index(v),)]
+    return [head for head, _ in layer]
+
+
 def _from_orbits(arity: int, coeffs: Mapping[tuple[int, ...], int]) -> LaurentPoly:
     """The symmetric polynomial sum_mu c_mu m_mu: each nonzero c_mu is
-    written at every distinct permutation of mu, so the keys must lie in
-    distinct orbits.
-
-    A mu with distinct entries has n! distinct permutations, which
-    ``itertools.permutations`` yields directly.  A mu that repeats an
-    entry has fewer, often far fewer (6 of 720 for (a, a, a, a, b, b)),
-    and up to arity ``_TABLE_ARITY`` only those are written, through the
-    getters of its label word (:func:`_arrangement_getters`).  Terms are
-    inserted in the order of first appearance in
-    ``itertools.permutations(mu)`` either way.
+    written at every distinct permutation of mu (:func:`_arrangements`),
+    so the keys must lie in distinct orbits.  Terms are inserted in the
+    order of first appearance in ``itertools.permutations(mu)``.
     """
     terms: dict[tuple[int, ...], int] = {}
     for mu, coef in coeffs.items():
         if coef:
-            if arity > _TABLE_ARITY or len(set(mu)) == arity:
-                terms.update(dict.fromkeys(itertools.permutations(mu), coef))
-            else:
-                getters = _arrangement_getters(tuple(map(mu.index, mu)))
-                terms.update(dict.fromkeys([get(mu) for get in getters], coef))
+            terms.update(dict.fromkeys(_arrangements(mu), coef))
     return LaurentPoly._raw(arity, terms)
 
 

@@ -292,8 +292,11 @@ def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
 
     Only ``f`` is checked for membership.  The images, lift targets and
     remainders below it are in J by construction, so they are not checked
-    again; the lift postcondition still is, and so is the exact division
-    of each remainder by R, which fails unless its evaluation vanishes.
+    again; the lift postcondition still is, and so is the divisibility
+    of each remainder by R, which fails unless its evaluation vanishes:
+    the thin-Kac peel (:func:`thinkac._thin_kac_coordinates`) raises
+    NotDivisible on a symmetric remainder exactly when R does not divide
+    it.
     """
     _check_member(f)
     return _certify(f, max_window)

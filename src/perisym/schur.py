@@ -13,7 +13,9 @@ so no s_lam is built on the way.  ``schur_poly`` is the one-weight case.
 ``schur_expand`` inverts this by straightening: for symmetric q,
 q * a_rho is the antisymmetrization of x^rho * q, so every term of q
 contributes one signed alternant a_{lam + rho} and no Schur polynomial is
-built.  ``alternant`` and ``denominators`` give the pieces of the
+built.  A symmetric q is a sum of orbit sums, so the expansion reads
+only the dominant terms of q and adds the expansion of each orbit sum
+(``_schur_coefficients``), which is straightened once per process.  ``alternant`` and ``denominators`` give the pieces of the
 bialternant formula s_lam = a_{lam + rho} / a_rho, which other modules and
 the checks in ``verify`` use.
 """
@@ -24,11 +26,13 @@ import functools
 import itertools
 import operator
 from dataclasses import dataclass, field
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotDominant, NotSymmetric
 from .laurent import (
     LaurentPoly,
+    _arrangements,
     _from_orbits,
     _read_only,
     grlex_key,
@@ -217,23 +221,74 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
     return cached
 
 
-def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:
-    """The c_lam with A(x^rho * f) = sum_lam c_lam a_{lam + rho}, where A
-    antisymmetrizes and a_nu is the alternant of nu.
-
-    Straightening turns each a_{e + rho} into zero or +-a_{lam + rho}, so
-    c_lam is the signed sum of f's coefficients over the exponents e that
-    straighten to lam: one pass over the terms, in time linear in their
-    number.  Entries may be zero.
-    """
-    staircase = rho(f.arity)
+def _straightened(alternants: Iterable[tuple[Iterable[int], int]]) -> dict[Weight, int]:
+    """The c_lam with sum_(nu, c) c * a_nu = sum_lam c_lam a_{lam + rho},
+    where a_nu is the alternant of nu: straightening turns each a_nu into
+    zero or +-a_{lam + rho}.  Entries may be zero."""
     coeffs: dict[Weight, int] = {}
-    for exps, coef in f.terms.items():
-        res = straighten_alternant(map(operator.add, exps, staircase))
+    for nu, coef in alternants:
+        res = straighten_alternant(nu)
         if res is not None:
             sign, lam = res
             coeffs[lam] = coeffs.get(lam, 0) + sign * coef
     return coeffs
+
+
+def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:
+    """The c_lam with A(x^rho * f) = sum_lam c_lam a_{lam + rho}, where A
+    antisymmetrizes: each term c x^e contributes c a_{e + rho}, so this is
+    one straightening pass over the terms, in time linear in their
+    number.  Entries may be zero.
+    """
+    staircase = rho(f.arity)
+    return _straightened((map(operator.add, exps, staircase), coef)
+                         for exps, coef in f.terms.items())
+
+
+_orbit_schur_cache: dict[Weight, Mapping[Weight, int]] = {}
+
+
+def _orbit_schur(nu: Weight) -> Mapping[Weight, int]:
+    """The nonzero Schur coefficients of the orbit sum m_nu: the signed
+    straightening of w + rho over the distinct arrangements w of nu
+    (:func:`laurent._arrangements`).  Multiplying by (x_1...x_n)^c adds
+    c to every weight, so only a nu with least entry 0 is straightened;
+    any other copies the table of its translate.  Cached by nu,
+    read-only."""
+    table = _orbit_schur_cache.get(nu)
+    if table is None:
+        low = min(nu, default=0)
+        if low:
+            shift = (low,) * len(nu)
+            coeffs = {tuple(map(operator.add, lam, shift)): c for lam, c in
+                      _orbit_schur(tuple(e - low for e in nu)).items()}
+        else:
+            staircase = rho(len(nu))
+            coeffs = _straightened((map(operator.add, w, staircase), 1)
+                                   for w in _arrangements(nu))
+        table = _orbit_schur_cache[nu] = MappingProxyType(
+            {lam: c for lam, c in coeffs.items() if c})
+    return table
+
+
+def _schur_coefficients(f: LaurentPoly) -> dict[Weight, int]:
+    """The nonzero Schur coefficients of a symmetric f, unchecked.
+
+    f is the sum of F[nu] m_nu over its weakly decreasing exponents nu,
+    so its coefficients are sum_nu F[nu] A_nu, with A_nu the expansion of
+    m_nu (:func:`_orbit_schur`).  Only the dominant terms of f are read,
+    found by one filter per adjacent pair of coordinates.
+    """
+    dominant = list(f.terms)
+    for k in range(f.arity - 1):
+        dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
+    coeffs: dict[Weight, int] = {}
+    get = coeffs.get
+    for nu in dominant:
+        coef = f.terms[nu]
+        for lam, a in _orbit_schur(nu).items():
+            coeffs[lam] = get(lam, 0) + coef * a
+    return {lam: c for lam, c in coeffs.items() if c}
 
 
 def schur_expand(f: LaurentPoly) -> SchurExpansion:
@@ -241,8 +296,9 @@ def schur_expand(f: LaurentPoly) -> SchurExpansion:
 
     Symmetry of f gives f * a_rho = A(x^rho * f), and a_{lam + rho} =
     s_lam * a_rho, so the alternant coefficients of f are its Schur
-    coefficients.
+    coefficients.  They are summed orbit by orbit from cached expansions
+    of the orbit sums (:func:`_schur_coefficients`).
     """
     if not f.is_symmetric():
         raise NotSymmetric("Schur expansion needs a symmetric polynomial")
-    return SchurExpansion(f.arity, _alternant_coefficients(f))
+    return SchurExpansion(f.arity, _schur_coefficients(f))

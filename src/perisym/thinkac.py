@@ -8,18 +8,25 @@ diagram, with signs normalized so that summing over all positions
 reproduces multiplication by the supercharacter of the standard module.
 
 :func:`thin_kac_combination` and its inverse :func:`_thin_kac_coordinates`
-are the two directions of the change of basis to polynomials.
+are the two directions of the change of basis to polynomials.  The
+first multiplies a Schur sum by the factors of R; the second divides
+nothing: it peels the Schur coefficients of its input by the cached
+Brauer-Klimyk expansions of R * s_lam, one weight at a time.
 """
 
 from __future__ import annotations
 
+import functools
+import heapq
+import operator
+from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .laurent import (LaurentPoly, _divide_by_binomials, _from_orbits,
-                      _multiply_by_binomials, _read_only)
-from .schur import (SchurExpansion, _WeightCombination, _alternant_coefficients,
+from .errors import NotDivisible
+from .laurent import LaurentPoly, _from_orbits, _multiply_by_binomials, _read_only
+from .schur import (SchurExpansion, _WeightCombination, _schur_coefficients, _straightened,
                     denominator_factors)
-from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
+from .weights import Weight, check_dominant, from_diagram, parity, rho, to_diagram
 
 
 class KClass(_WeightCombination):
@@ -60,15 +67,92 @@ def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPol
 def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
     """Thin-Kac coordinates of a symmetric f in the kernel of the
     evaluation map, unchecked: the inverse of :func:`thin_kac_combination`.
-    Exact division by R (NotDivisible otherwise) implies a zero
-    evaluation, as R has the factor 1 - x_{n-1} x_n.  The quotient is
-    symmetric, so its alternant coefficients are its Schur coefficients.
-    A zero f is answered before the factors of R are built.
+
+    If f = R q with q = sum_lam d_lam s_lam, the Schur coefficients g of
+    f (:func:`schur._schur_coefficients`) are sum_lam d_lam BK_lam, with
+    BK_lam the expansion of R s_lam (:func:`_brauer_klimyk`).  The
+    lex-largest weight of BK_lam is lam + (n - 1) * 1, with coefficient
+    (-1)^C(n, 2), so the lex-largest weight mu of g gives the lex-largest
+    lam = mu - (n - 1) * 1 of q and d_lam = g_mu / BK_lam[mu].  The peel
+    subtracts d_lam BK_lam and repeats until g is zero; the d_lam,
+    parity-signed, are the coordinates.  No polynomial is divided.
+
+    Termination: NotDivisible is raised unless every entry of lam lies in
+    [a, b - (n - 1)], where a and b are the least and largest exponents
+    of f.  When f = R q, taking the part of largest x_1-degree of each
+    factor shows that b is n - 1 plus the largest x_1-degree of q, which
+    is the largest lam_1 over the support of q: the lex-largest lam of
+    the support has coefficient d_lam at x^lam, and no term of any s_lam
+    has x_1-degree above lam_1.  Likewise a is the least lam_n, since R
+    has a constant term.  The peel meets exactly the support of q, so the
+    guard passes on every such f.  On any input each step removes the
+    top weight mu of g and adds only weights below it, so the tops
+    strictly decrease in lex order; the guard keeps the lam, hence the
+    mu, in a finite box, so the peel ends.  If it ends with g = 0, f and
+    R q have the same Schur coefficients, so f = R q.  On a symmetric f
+    the peel therefore succeeds exactly when R divides f, and since R has
+    the factor 1 - x_{n-1} x_n, success implies a zero evaluation.
+
+    A nonzero f reads the factors of R once (expanded once per arity); a
+    zero f is answered before they are built.
     """
     if f.is_zero():
         return SchurExpansion(f.arity)
-    quotient = _divide_by_binomials(f, denominator_factors(f.arity)[0])
-    return SchurExpansion(f.arity, _parity_signed(_alternant_coefficients(quotient)))
+    n = f.arity
+    g = _schur_coefficients(f)
+    if n < 2:
+        return SchurExpansion(n, _parity_signed(g))  # R = 1
+    r_terms = _expanded(denominator_factors(n)[0])
+    # f is symmetric, so x_1 carries every exponent that occurs in f.
+    first = list(map(operator.itemgetter(0), f.terms))
+    lowest, highest = min(first), max(first) - (n - 1)
+    tops = [tuple(map(operator.neg, mu)) for mu in g]
+    heapq.heapify(tops)
+    coords: dict[Weight, int] = {}
+    while tops:
+        mu = tuple(map(operator.neg, heapq.heappop(tops)))
+        top = g.pop(mu)
+        if not top:
+            continue
+        lam = tuple(e - (n - 1) for e in mu)
+        if lam[-1] < lowest or lam[0] > highest:
+            raise NotDivisible("not divisible by R")
+        table = _brauer_klimyk(lam, r_terms)
+        c, r = divmod(top, table[mu])
+        if r:
+            raise NotDivisible("not divisible by R")
+        coords[lam] = c
+        for nu, b in table.items():
+            if nu in g:
+                g[nu] -= c * b
+            elif nu != mu:
+                g[nu] = -c * b
+                heapq.heappush(tops, tuple(map(operator.neg, nu)))
+    return SchurExpansion(n, _parity_signed(coords))
+
+
+@functools.cache
+def _expanded(factors: tuple[LaurentPoly, ...]) -> tuple[tuple[Weight, int], ...]:
+    """The terms of the product of nonempty ``factors``, cached."""
+    return tuple(_multiply_by_binomials(LaurentPoly.one(factors[0].arity), factors).terms.items())
+
+
+_brauer_klimyk_cache: dict[Weight, Mapping[Weight, int]] = {}
+
+
+def _brauer_klimyk(lam: Weight, r_terms: tuple[tuple[Weight, int], ...]) -> Mapping[Weight, int]:
+    """The nonzero Schur coefficients of R s_lam, where ``r_terms`` are
+    the terms R_beta x^beta of R: by the Brauer-Klimyk rule,
+    R s_lam = sum_beta R_beta a_{lam + rho + beta} / a_rho, straightened.
+    Cached by lam, read-only."""
+    table = _brauer_klimyk_cache.get(lam)
+    if table is None:
+        shifted = tuple(map(operator.add, lam, rho(len(lam))))
+        coeffs = _straightened((map(operator.add, shifted, beta), coef)
+                               for beta, coef in r_terms)
+        table = _brauer_klimyk_cache[lam] = MappingProxyType(
+            {mu: c for mu, c in coeffs.items() if c})
+    return table
 
 
 def _parity_signed(coeffs: Mapping[Weight, int]) -> dict[Weight, int]:
