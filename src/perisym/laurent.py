@@ -301,24 +301,21 @@ class LaurentPoly:
 
     # -- exact division ---------------------------------------------------
 
-    def exact_divide(self, divisor: "LaurentPoly") -> "LaurentPoly":
+    def exact_divide(self, divisor: "LaurentPoly | int") -> "LaurentPoly":
         """Return ``q`` with ``self == q * divisor``, exactly.
 
-        A two-term divisor, such as a factor ``x_i - x_j`` of the
-        Vandermonde or ``1 - x_i x_j`` of R, is divided line by line on
-        packed exponents, in time linear in the terms up to one sort
-        (:func:`_divide_by_binomials` with one factor).  Any other
-        divisor goes through sparse division by leading terms
-        (:func:`_divide_by_heap`).  Either way a nonzero remainder or a
-        non-integral coefficient raises :class:`NotDivisible`.
+        Every divisor, an int included, goes through one algorithm:
+        sparse division by leading terms (:func:`_divide_by_heap`).  A
+        nonzero remainder or a non-integral coefficient raises
+        :class:`NotDivisible`.
         """
+        if isinstance(divisor, int):
+            divisor = LaurentPoly.constant(self.arity, divisor)
         self._check_arity(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")
         if self.is_zero():
             return LaurentPoly.zero(self.arity)
-        if len(divisor.terms) == 2:
-            return _divide_by_binomials(self, (divisor,))
         return _divide_by_heap(self, divisor)
 
     # -- display -----------------------------------------------------------
@@ -399,11 +396,17 @@ def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
     return LaurentPoly._raw(n, quot)
 
 
+def _divide_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
+    """Exact quotient of ``f`` by the product of ``factors``, one at a time."""
+    return functools.reduce(LaurentPoly.exact_divide, factors, f)
+
+
 # -- packed exponents ------------------------------------------------------
 
 
 class _Packing:
-    """Exponent vectors packed into Python ints.
+    """Exponent vectors packed into Python ints, for
+    :func:`_multiply_by_binomials`.
 
     ``e`` packs to ``sum_k (e_k - offset) * 2**(bits * k)``.  The map is
     linear up to a constant, so moving a packed vector by ``d`` adds the
@@ -448,97 +451,6 @@ def _box(terms: Iterable[tuple[int, ...]]) -> tuple[list[int], list[int]]:
     """Coordinatewise minima and maxima of nonempty exponent vectors."""
     columns = list(zip(*terms))
     return list(map(min, columns)), list(map(max, columns))
-
-
-def _divide_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    """Exact quotient of ``f`` by the product of two-term ``factors``:
-    one pack (:class:`_Packing`), one line sweep per factor, one unpack.
-
-    For a factor ``c1 x^u + c2 x^v``, ordered so that ``d = u - v`` has
-    its first nonzero entry ``d_p = step > 0``, the terms of ``q * g``
-    that a term of q touches lie on one line ``key + Z d``, with
-    ``key = e - (e_p // step) d``.  Writing ``F_k`` for the dividend's
-    coefficient at ``key + k d`` and ``Q_k`` for q's at ``key + k d - u``,
-    ``F_k = c1 Q_k + c2 Q_{k+1}``: a sweep down each line from its top
-    term solves for ``Q_k`` step by step, through the gaps between the
-    dividend's terms, and the carry past the line's lowest term must
-    vanish; otherwise, or when c1 does not divide a coefficient,
-    :class:`NotDivisible` is raised.  Packed, moving by d adds one int D,
-    the line key is ``E - k D``, and every line runs down in the order of
-    E (descending when D > 0), so one sort serves all lines.
-
-    Packing invariant: offset and bits are chosen so that every vector a
-    sweep forms has its coordinates in ``[offset, offset + 2**bits)``.
-    These are the dividend's terms; the quotient positions, its exponent
-    box shifted by ``-u`` (for ``1 - x_i x_j``, one step down); and the
-    line keys, whose coordinates ``e_m - (e_p // step) d_m`` include, for
-    ``1 - x_i x_j``, the difference ``e_j - e_i`` of two exponents, so
-    ``2**bits`` exceeds about twice the box width.  An exact quotient's
-    box is the dividend's box minus the factor's, so each factor's bounds
-    come from the box its dividend must have; a sweep that is not exact
-    raises before the next one starts.  Under the invariant the packing is
-    injective on every set the sweep keys by, so the quotient equals that
-    of the same sweep on exponent tuples term for term, and NotDivisible
-    is raised exactly when a factor does not divide.
-    """
-    factors = tuple(factors)
-    if not factors or f.is_zero():
-        return f
-    n = f.arity
-    lo, hi = _box(f.terms)
-    low, high = min(lo), max(hi)
-    sweeps = []
-    for g in factors:
-        (u, c1), (v, c2) = g.terms.items()
-        d = list(map(operator.sub, u, v))
-        p = next(k for k, a in enumerate(d) if a)
-        if d[p] < 0:
-            u, c1, v, c2 = v, c2, u, c1
-            d = [-a for a in d]
-        step = d[p]
-        k_lo, k_hi = lo[p] // step, hi[p] // step
-        low = min(low, *map(operator.sub, lo, u),
-                  *(l - max(a * k_lo, a * k_hi) for l, a in zip(lo, d)))
-        high = max(high, *map(operator.sub, hi, u),
-                   *(h - min(a * k_lo, a * k_hi) for h, a in zip(hi, d)))
-        sweeps.append((u, c1, c2, d, p, step))
-        lo = [l - min(a, b) for l, a, b in zip(lo, u, v)]
-        hi = [h - max(a, b) for h, a, b in zip(hi, u, v)]
-
-    packing = _Packing(n, low, high)
-    mask, offset = packing.mask, packing.offset
-    terms = packing.pack(f.terms)
-    for u, c1, c2, d, p, step in sweeps:
-        U, D, shift = packing.move(u), packing.move(d), packing.shifts[p]
-        quot: dict[int, int] = {}
-        lines: dict[int, tuple[int, int]] = {}  # key -> (carry, last quotient position)
-        get = lines.get
-        unit = c1 in (1, -1)
-        for e in sorted(terms, reverse=D > 0):
-            key = e - ((e >> shift & mask) + offset) // step * D
-            carry, q = get(key, (0, None))
-            end = e - U
-            if carry:
-                # The dividend has no terms strictly between the previous
-                # position and e; the quotient runs on through them.
-                while (q := q - D) != end:
-                    carry, r = divmod(-c2 * carry, c1)
-                    if r:
-                        raise NotDivisible("coefficient not divisible")
-                    quot[q] = carry
-            if unit:
-                carry = (terms[e] - c2 * carry) * c1
-            else:
-                carry, r = divmod(terms[e] - c2 * carry, c1)
-                if r:
-                    raise NotDivisible("coefficient not divisible")
-            if carry:
-                quot[end] = carry
-            lines[key] = (carry, end)
-        if any(carry for carry, _ in lines.values()):
-            raise NotDivisible("nonzero remainder at the end of a line")
-        terms = quot
-    return LaurentPoly._raw(n, packing.unpack(terms))
 
 
 def _multiply_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
