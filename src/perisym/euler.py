@@ -4,24 +4,41 @@ A weight ``gamma`` determines a parabolic subalgebra of the periplectic
 superalgebra: the nilpotent radical collects the roots pairing positively
 with gamma under the standard scalar product.  For a weight ``lam``
 constant on the Levi blocks, the Euler characteristic of the associated
-line bundle on the flag supervariety is computed by expanding
+line bundle on the flag supervariety is the antisymmetrization of
 
     x^(lam + rho) * prod_{alpha in odd radical} (1 - x^(-alpha))
 
-and straightening every monomial to a signed Schur contribution.  The
-result is symmetric, and supersymmetric when gamma is weakly decreasing.
+divided by a_rho.  Its Schur coordinates are found by one of two routes.
+
+* When gamma is weakly decreasing with all entries <= 0, with b zeros,
+  the odd radical is every pair i < j outside the zero block, so the
+  product is C * R_m over the m = n - b tail variables, with
+  C = prod_{i <= b < j} (1 - x_i x_j) factored by the dual Cauchy
+  identity.  The coordinates are then read from small tables cached by
+  translation class, and no polynomial is multiplied (see
+  :func:`_factorized`).  b = 0 is the Brauer-Klimyk table of R s_mu.
+* Every other gamma expands the product and straightens every monomial
+  to a signed Schur contribution.
+
+The result is symmetric, and supersymmetric when gamma is weakly
+decreasing.
 """
 
 from __future__ import annotations
 
+import functools
+import itertools
 import operator
 from dataclasses import dataclass
-from typing import Iterable
+from types import MappingProxyType
+from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, LeviIncompatible
-from .laurent import LaurentPoly
-from .schur import SchurExpansion, _alternant_coefficients
-from .weights import Weight
+from .laurent import LaurentPoly, straighten_alternant
+from .schur import (SchurExpansion, _alternant_coefficients, _straightened, denominator_factors,
+                    schur_poly)
+from .thinkac import _brauer_klimyk, _expanded
+from .weights import Weight, rho
 from .dsmap import ds_power
 
 RootVector = tuple[int, ...]
@@ -106,17 +123,98 @@ def _check_levi(lam: Weight, datum: ParabolicDatum) -> None:
 
 def _expansion(lam: Iterable[int], gamma: Iterable[int]) -> SchurExpansion:
     """The Schur expansion of the Euler characteristic for (lam, gamma),
-    after checking the lengths and the Levi condition."""
+    after checking the lengths and the Levi condition.
+
+    A weakly decreasing gamma with all entries <= 0 takes the factorized
+    route (:func:`_factorized`); every other gamma multiplies out
+    x^lam * prod_alpha (1 - x^-alpha) and straightens each term.
+    """
     lam = tuple(map(operator.index, lam))
     datum = radical_roots(gamma)
     n = datum.arity
     if len(lam) != n:
         raise ArityMismatch("lam and gamma must have the same length")
     _check_levi(lam, datum)
+    gamma = datum.gamma
+    if all(0 >= g >= h for g, h in zip((0,) + gamma, gamma)):
+        return SchurExpansion(n, _factorized(lam, gamma.count(0)))
     numerator = LaurentPoly.monomial(n, lam)
     for alpha in datum.odd_radical:
         numerator = numerator * (LaurentPoly.one(n) - LaurentPoly.monomial(n, [-a for a in alpha]))
     return SchurExpansion(n, _alternant_coefficients(numerator))
+
+
+def _factorized(lam: Weight, b: int) -> dict[Weight, int]:
+    """The Schur coefficients of the Euler characteristic for a weakly
+    decreasing gamma with all entries <= 0 and b zeros, where lam passed
+    the Levi check, so lam = (a^b, mu) with m = n - b tail entries mu.
+
+    The product over the odd radical is C * R_m, with R_m the R of the
+    tail variables y and, by the dual Cauchy identity,
+    C = prod_{i <= b < j} (1 - x_i y_j)
+      = sum_{kappa in (m^b)} (-1)^|kappa| s_kappa(x) s_kappa'(y).
+    Antisymmetrizing each variable block on its own, x^(a + m + rho_b)
+    s_kappa(x) gives the alternant of kappa + (a + m) * 1 + rho_b, and
+    y^(mu + rho_m) s_kappa'(y) R_m(y) gives that of beta + rho_m with the
+    Schur coefficient of beta in s_kappa' s_mu R_m, where mu + rho_m is
+    straightened first (a repeated entry makes the whole result zero).
+    The alternants of the concatenations are then straightened in n
+    variables.  b = 0 leaves the one term kappa = () and the table of
+    R s_mu; b = n leaves s_(a^n).
+    """
+    n = len(lam)
+    m = n - b
+    straightened = straighten_alternant(map(operator.add, lam[b:], rho(m)))
+    if straightened is None:
+        return {}
+    sign, mu = straightened
+    low = mu[-1] if m else 0
+    mu = tuple(e - low for e in mu)
+    tail_shift = tuple(e + low for e in rho(m))
+    head_shift = tuple(e + lam[0] + m for e in rho(b))
+    alternants = []
+    for kappa, conjugate in _boxed_partitions(b, m):
+        head = tuple(map(operator.add, kappa, head_shift))
+        weight = -sign if sum(kappa) % 2 else sign
+        alternants.extend((head + tuple(map(operator.add, beta, tail_shift)), weight * c)
+                          for beta, c in _tail_table(conjugate, mu).items())
+    return _straightened(alternants)
+
+
+@functools.cache
+def _boxed_partitions(b: int, m: int) -> tuple[tuple[Weight, Weight], ...]:
+    """The partitions kappa in the b x m box, each with b entries, paired
+    with its conjugate kappa', which has m entries."""
+    return tuple((kappa, tuple(sum(part > j for part in kappa) for j in range(m)))
+                 for kappa in itertools.combinations_with_replacement(range(m, -1, -1), b))
+
+
+_tail_cache: dict[tuple[Weight, Weight], Mapping[Weight, int]] = {}
+
+
+def _tail_table(kappa: Weight, mu: Weight) -> Mapping[Weight, int]:
+    """The nonzero Schur coefficients of s_kappa s_mu R_m for partitions
+    kappa and mu of length m, mu with least entry 0, from two
+    Brauer-Klimyk passes: the table of R_m s_mu
+    (:func:`thinkac._brauer_klimyk`), then the terms of s_kappa
+    straightened onto nu + rho_m for each of its weights nu.  No
+    polynomial is multiplied.  Every key is a translation-class
+    representative, so this cache and the Brauer-Klimyk cache under it
+    stay bounded however lam is shifted.  Cached by (kappa, mu),
+    read-only."""
+    table = _tail_cache.get((kappa, mu))
+    if table is None:
+        m = len(mu)
+        r_terms = _expanded(denominator_factors(m)[0]) if m > 1 else (((0,) * m, 1),)
+        staircase = rho(m)
+        products = [(tuple(map(operator.add, nu, staircase)), d)
+                    for nu, d in _brauer_klimyk(mu, r_terms).items()]
+        coeffs = _straightened((map(operator.add, shifted, t), d * c)
+                               for t, c in schur_poly(kappa).terms.items()
+                               for shifted, d in products)
+        table = _tail_cache[kappa, mu] = MappingProxyType(
+            {beta: c for beta, c in coeffs.items() if c})
+    return table
 
 
 def euler_characteristic(

@@ -307,10 +307,13 @@ class LaurentPoly:
         Every divisor, an int included, goes through one algorithm:
         sparse division by leading terms (:func:`_divide_by_heap`).  A
         nonzero remainder or a non-integral coefficient raises
-        :class:`NotDivisible`.
+        :class:`NotDivisible`.  Any other divisor type raises TypeError,
+        as the ring operations do.
         """
         if isinstance(divisor, int):
             divisor = LaurentPoly.constant(self.arity, divisor)
+        elif not isinstance(divisor, LaurentPoly):
+            raise TypeError(f"cannot divide by {type(divisor).__name__}")
         self._check_arity(divisor)
         if divisor.is_zero():
             raise ZeroDivisionError("division by the zero polynomial")

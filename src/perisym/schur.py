@@ -128,9 +128,9 @@ def denominator_factors(n: int) -> tuple[tuple[LaurentPoly, ...], tuple[LaurentP
     lexicographic order.  Cached, with read-only terms."""
     r_factors, v_factors = [], []
     for i, j in itertools.combinations(range(1, n + 1), 2):
-        x_i, x_j = LaurentPoly.variable(n, i), LaurentPoly.variable(n, j)
-        r_factors.append(_read_only(LaurentPoly.one(n) - x_i * x_j))
-        v_factors.append(_read_only(x_i - x_j))
+        x_ij = LaurentPoly.monomial(n, (int(k in (i, j)) for k in range(1, n + 1)))
+        r_factors.append(_read_only(LaurentPoly.one(n) - x_ij))
+        v_factors.append(_read_only(LaurentPoly.variable(n, i) - LaurentPoly.variable(n, j)))
     return tuple(r_factors), tuple(v_factors)
 
 

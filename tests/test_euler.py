@@ -1,9 +1,17 @@
+import hashlib
+import os
 import random
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import perisym
+from perisym import euler, thinkac
 from perisym import (
     LaurentPoly,
     LeviIncompatible,
@@ -210,3 +218,102 @@ def test_euler_matches_reference_straightening(case):
     if list(gamma) == sorted(gamma, reverse=True):
         for k in range(1, len(lam) // 2 + 1):
             assert euler_ds_power(lam, gamma, k) == ds_power(poly, k)
+
+
+# -- the factorized route: gamma weakly decreasing with all entries <= 0 ---
+
+
+@st.composite
+def dual_cauchy_family(draw):
+    """(lam, gamma) with n <= 6: gamma is b zeros followed by a weakly
+    decreasing tail in [-3, -1] (b = 0 and b = n included), and lam is a
+    on the zero block and, on the tail, constant on each block of equal
+    gamma entries with values in [-2, 2] drawn per block, so the tail
+    need not be dominant."""
+    n = draw(st.integers(1, 6))
+    b = draw(st.integers(0, n))
+    tail = sorted(draw(st.lists(st.integers(-3, -1), min_size=n - b, max_size=n - b)),
+                  reverse=True)
+    values = {g: draw(st.integers(-2, 2)) for g in sorted(set(tail))}
+    a = draw(st.integers(-2, 2))
+    return (a,) * b + tuple(values[g] for g in tail), (0,) * b + tuple(tail)
+
+
+@settings(max_examples=100, deadline=None)
+@given(dual_cauchy_family())
+@example(((0, 2, 0, -1), (-1, -2, -3, -4)))  # b = 0, tail not dominant
+@example(((1, 1, 1, 1, 1, 1), (0,) * 6))  # b = n
+@example(((2, 2, -1, 0, 1), (0, 0, -1, -2, -3)))  # increasing tail
+@example(((0, 0, 1, 1, 2, 2), (0, 0, -1, -1, -2, -2)))  # tail blocks
+def test_factorized_route_matches_reference_straightening(case):
+    lam, gamma = case
+    poly, expansion = euler_characteristic(lam, gamma)
+    assert expansion == reference_straightened(lam, gamma)
+    assert poly == expansion.to_poly()
+
+
+@pytest.fixture
+def mul_calls(monkeypatch):
+    """Arities of the operands of every ``LaurentPoly.__mul__`` call."""
+    calls = []
+    original = LaurentPoly.__mul__
+
+    def spy(self, other):
+        calls.append(self.arity)
+        return original(self, other)
+
+    monkeypatch.setattr(LaurentPoly, "__mul__", spy)
+    return calls
+
+
+class TestNoNumeratorProduct:
+    @pytest.mark.parametrize("lam, gamma", [
+        ((3, 3, 1, 0, -1), (0, 0, -1, -2, -3)),
+        ((0, 2, 0, -1), (-1, -2, -3, -4)),
+        ((2, 2, 2), (0, 0, 0)),
+        ((5, 5, 5, 5, 0, 0), (0, 0, 0, 0, -1, -1)),
+    ])
+    def test_family_multiplies_nothing(self, mul_calls, lam, gamma):
+        euler_characteristic(lam, gamma)
+        assert mul_calls == []
+
+    def test_positive_entry_expands_the_numerator(self, mul_calls):
+        euler_characteristic((1, 0, 1, -1), (1, 0, -1, -2))
+        assert mul_calls
+
+
+def test_tables_are_keyed_by_translation_class():
+    # Shifting lam by c * 1 shifts every coordinate by c and adds no table.
+    lam, gamma = (2, 2, 1, 0, -1), (0, 0, -1, -2, -3)
+    base = euler_characteristic(lam, gamma)[1]
+    sizes = len(euler._tail_cache), len(thinkac._brauer_klimyk_cache)
+    for c in (-1000, 7, 31337):
+        shifted = euler_characteristic(tuple(e + c for e in lam), gamma)[1]
+        assert shifted.coeffs == {tuple(e + c for e in mu): coef
+                                  for mu, coef in base.coeffs.items()}
+    assert (len(euler._tail_cache), len(thinkac._brauer_klimyk_cache)) == sizes
+
+
+def run_limited(code: str, cap_mb: int) -> subprocess.CompletedProcess:
+    """``python -c code`` in a fresh interpreter whose address space is
+    capped at ``cap_mb`` MB, so a route that builds a large polynomial
+    fails with MemoryError instead of exhausting the host."""
+    def cap():
+        resource.setrlimit(resource.RLIMIT_AS, (cap_mb * 1024 ** 2, cap_mb * 1024 ** 2))
+
+    env = dict(os.environ, PYTHONPATH=str(Path(perisym.__file__).parents[1]))
+    return subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          env=env, preexec_fn=cap, timeout=300)
+
+
+def test_rank_eight_coordinates_in_bounded_memory():
+    # The Schur coordinates of E_1(0) at n = 8.  The numerator route
+    # multiplies out a 1,588,544-term product and peaks near 500 MB;
+    # the digest was recorded from it.
+    code = ("import json; from perisym import serialize; from perisym.euler import _expansion; "
+            "e = _expansion((0,) * 8, (0, 0, -1, -2, -3, -4, -5, -6)); "
+            "print(json.dumps(serialize.schur_to_dict(e), sort_keys=True, separators=(',', ':')))")
+    done = run_limited(code, 256)
+    assert done.returncode == 0, done.stderr
+    assert hashlib.sha256(done.stdout.strip().encode()).hexdigest() == (
+        "e4b9c27f3d525e5a7844c911ef42ef90a5b085ed319abb7e9ae5635b70c7fd03")

@@ -172,6 +172,15 @@ class TestExactDivide:
         g = P(2, {(-1, 0): 1, (0, 1): 1})
         assert f.exact_divide(g) == P(2, {(-1, 1): 1})
 
+    @pytest.mark.parametrize("divisor", [2.0, "x", None])
+    @pytest.mark.parametrize("dividend", [1 + x1, LaurentPoly.zero(1)])
+    def test_non_polynomial_divisor_is_a_type_error(self, dividend, divisor):
+        # The same error type as the ring operations give for the operand.
+        with pytest.raises(TypeError):
+            dividend + divisor
+        with pytest.raises(TypeError):
+            dividend.exact_divide(divisor)
+
 
 class TestSymmetry:
     def test_symmetric_sum(self):
