@@ -39,7 +39,7 @@ from .laurent import (
     permutations_with_signs,
     straighten_alternant,
 )
-from .weights import Weight, check_dominant, rho
+from .weights import Weight, check_dominant, is_dominant, rho
 
 
 @dataclass(frozen=True)
@@ -59,7 +59,8 @@ class _WeightCombination:
             lam = tuple(map(operator.index, lam))
             if len(lam) != self.arity:
                 raise NotDominant(f"weight {lam} does not match arity {self.arity}")
-            check_dominant(lam)
+            if not is_dominant(lam):
+                raise NotDominant(f"{lam} is not weakly decreasing")
             coef = operator.index(coef)
             if coef:
                 clean[lam] = coef

@@ -1,9 +1,13 @@
 """The acceptance battery: exact, seeded, self-contained checks.
 
-Each criterion function returns a :class:`CriterionResult`; ``run_all``
-executes the battery in order.  All checks are exact integer identities
-(zero tolerance).  The battery is deterministic: random inputs come from
-fixed-seed generators.
+A criterion is written once, as a check decorated with its number and
+name: ``@_criterion(9, "name")``.  The check returns its pass detail, or
+raises ``_Mismatch(detail)`` at its first mismatch.  The decorator makes
+it a zero-argument callable that times the check and builds its one
+:class:`CriterionResult`; any other exception propagates.  ``run_all``
+executes ``ALL_CRITERIA`` in order.  All checks are exact integer
+identities (zero tolerance).  The battery is deterministic: random inputs
+come from fixed-seed generators.
 """
 
 from __future__ import annotations
@@ -34,6 +38,28 @@ class CriterionResult:
         status = "PASS" if self.passed else "FAIL"
         return (f"criterion {self.number} [{status}] {self.name}: "
                 f"{self.detail} ({self.seconds:.1f}s)")
+
+
+class _Mismatch(Exception):
+    """Raised by a check at its first mismatch; its message is the detail."""
+
+
+def _criterion(number: int, name: str):
+    """Make a check into criterion ``number``: a zero-argument callable
+    that times the check and returns its :class:`CriterionResult`."""
+    def decorate(check: Callable[[], str]) -> Callable[[], CriterionResult]:
+        def run() -> CriterionResult:
+            start = time.time()
+            try:
+                passed, detail = True, check()
+            except _Mismatch as mismatch:
+                passed, detail = False, str(mismatch)
+            return CriterionResult(number, name, passed, detail, time.time() - start)
+        # Not functools.wraps: its __wrapped__ would give run the check's signature.
+        run.__name__ = run.__qualname__ = check.__name__
+        run.__doc__ = check.__doc__
+        return run
+    return decorate
 
 
 def _det(mat: list[list[LaurentPoly]]) -> LaurentPoly:
@@ -87,9 +113,9 @@ def _random_member(n: int, rng: random.Random, bound: int = 3,
     return out
 
 
-def criterion_1_thin_kac_formula() -> CriterionResult:
+@_criterion(1, "thin-Kac supercharacter formula")
+def criterion_1_thin_kac_formula() -> str:
     """Thin-Kac supercharacters against the independent bialternant."""
-    start = time.time()
     checked = 0
     for n in (1, 2, 3, 4):
         r_minus = denominators(n)[0]
@@ -97,16 +123,14 @@ def criterion_1_thin_kac_formula() -> CriterionResult:
             sign = -1 if parity(lam) else 1
             expected = sign * r_minus * schur_bialternant_oracle(lam)
             if sch_thin_kac(lam) != expected:
-                return CriterionResult(1, "thin-Kac supercharacter formula", False,
-                                       f"mismatch at {lam}", time.time() - start)
+                raise _Mismatch(f"mismatch at {lam}")
             checked += 1
-    return CriterionResult(1, "thin-Kac supercharacter formula", True,
-                           f"{checked} weights exact", time.time() - start)
+    return f"{checked} weights exact"
 
 
-def criterion_2_kernel_theorem() -> CriterionResult:
+@_criterion(2, "kernel decomposition")
+def criterion_2_kernel_theorem() -> str:
     """Kernel of the evaluation map: thin-Kac spans in, decompositions out."""
-    start = time.time()
     rng = random.Random(20260811)
     combos = decomposed = 0
     for n in (2, 3, 4):
@@ -118,9 +142,7 @@ def criterion_2_kernel_theorem() -> CriterionResult:
                 coeffs[lam] = rng.randint(-4, 4)
             f = kclass_sch(KClass(n, coeffs))
             if not ds_eval(f).is_zero():
-                return CriterionResult(2, "kernel decomposition", False,
-                                       f"thin-Kac combination escapes the kernel (n={n})",
-                                       time.time() - start)
+                raise _Mismatch(f"thin-Kac combination escapes the kernel (n={n})")
             combos += 1
         for _ in range(100):
             f = r_minus * _random_symmetric(n, rng)
@@ -129,18 +151,14 @@ def criterion_2_kernel_theorem() -> CriterionResult:
             for lam, coef in expansion.sorted_items():
                 rebuilt = rebuilt + coef * sch_thin_kac(lam)
             if rebuilt != f:
-                return CriterionResult(2, "kernel decomposition", False,
-                                       f"reconstruction failed (n={n})",
-                                       time.time() - start)
+                raise _Mismatch(f"reconstruction failed (n={n})")
             decomposed += 1
-    return CriterionResult(2, "kernel decomposition", True,
-                           f"{combos} combinations to zero, {decomposed} decompositions exact",
-                           time.time() - start)
+    return f"{combos} combinations to zero, {decomposed} decompositions exact"
 
 
-def criterion_3_euler_preimage() -> CriterionResult:
+@_criterion(3, "Euler preimage")
+def criterion_3_euler_preimage() -> str:
     """Evaluation images of parabolic-induction Euler characteristics."""
-    start = time.time()
     checked = 0
     for n in range(2, 7):
         for k in range(1, n // 2 + 1):
@@ -150,17 +168,14 @@ def criterion_3_euler_preimage() -> CriterionResult:
                 lam = tuple(a if i < 2 * k else 0 for i in range(n))
                 image = ds_power(euler_characteristic(lam, gamma)[0], k)
                 if image != target:
-                    return CriterionResult(3, "Euler preimage", False,
-                                           f"mismatch at n={n} k={k} a={a}",
-                                           time.time() - start)
+                    raise _Mismatch(f"mismatch at n={n} k={k} a={a}")
                 checked += 1
-    return CriterionResult(3, "Euler preimage", True,
-                           f"{checked} (n,k,a) triples exact", time.time() - start)
+    return f"{checked} (n,k,a) triples exact"
 
 
-def criterion_4_tensor_identity() -> CriterionResult:
+@_criterion(4, "translation tensor identity")
+def criterion_4_tensor_identity() -> str:
     """Translation operators sum to tensoring with the standard module."""
-    start = time.time()
     checked = 0
     for n in (1, 2, 3):
         std = sch_standard(n)
@@ -170,38 +185,29 @@ def criterion_4_tensor_identity() -> CriterionResult:
             for k in beads:
                 total = total + kclass_sch(theta_prime(k, KClass.basis(lam)))
             if total != sch_thin_kac(lam) * std:
-                return CriterionResult(4, "translation tensor identity", False,
-                                       f"mismatch at {lam}", time.time() - start)
+                raise _Mismatch(f"mismatch at {lam}")
             checked += 1
-    return CriterionResult(4, "translation tensor identity", True,
-                           f"{checked} weights exact", time.time() - start)
+    return f"{checked} weights exact"
 
 
-def criterion_5_certify() -> CriterionResult:
+@_criterion(5, "constructive certify")
+def criterion_5_certify() -> str:
     """Constructive surjectivity: certify random window elements."""
-    start = time.time()
     rng = random.Random(20260811)
     certified = 0
     for n in (2, 3, 4):
-        basis = membership_window_basis(n, 4)
         for _ in range(50):
-            f = LaurentPoly.zero(n)
-            for index in rng.sample(range(len(basis)), min(5, len(basis))):
-                f = f + rng.randint(-3, 3) * basis[index]
+            f = _random_member(n, rng, bound=4, picks=5)
             cert = certify(f)
             if cert.validate() != f:
-                return CriterionResult(5, "constructive certify", False,
-                                       f"reconstruction failed (n={n})",
-                                       time.time() - start)
+                raise _Mismatch(f"reconstruction failed (n={n})")
             certified += 1
-    return CriterionResult(5, "constructive certify", True,
-                           f"{certified} random elements certified and replayed exactly",
-                           time.time() - start)
+    return f"{certified} random elements certified and replayed exactly"
 
 
-def criterion_6_homomorphism() -> CriterionResult:
+@_criterion(6, "homomorphism and pair independence")
+def criterion_6_homomorphism() -> str:
     """Evaluation is a ring map; the pair choice does not matter."""
-    start = time.time()
     rng = random.Random(20260811)
     pairs = 0
     for _ in range(100):
@@ -209,11 +215,9 @@ def criterion_6_homomorphism() -> CriterionResult:
         f = _random_member(n, rng)
         g = _random_member(n, rng)
         if ds_eval(f * g) != ds_eval(f) * ds_eval(g):
-            return CriterionResult(6, "homomorphism and pair independence", False,
-                                   f"multiplicativity failed (n={n})", time.time() - start)
+            raise _Mismatch(f"multiplicativity failed (n={n})")
         if ds_eval(f + g) != ds_eval(f) + ds_eval(g):
-            return CriterionResult(6, "homomorphism and pair independence", False,
-                                   f"additivity failed (n={n})", time.time() - start)
+            raise _Mismatch(f"additivity failed (n={n})")
         pairs += 1
     independence = 0
     for _ in range(20):
@@ -226,33 +230,25 @@ def criterion_6_homomorphism() -> CriterionResult:
                     continue
                 tslice = f.substitute_pair(i, j)
                 if tslice.t_witness() is not None:
-                    return CriterionResult(6, "homomorphism and pair independence", False,
-                                           f"pair ({i},{j}) t-dependent (n={n})",
-                                           time.time() - start)
+                    raise _Mismatch(f"pair ({i},{j}) t-dependent (n={n})")
                 if LaurentPoly(n - 2, tslice.constant_part()) != reference:
-                    return CriterionResult(6, "homomorphism and pair independence", False,
-                                           f"pair ({i},{j}) disagrees (n={n})",
-                                           time.time() - start)
+                    raise _Mismatch(f"pair ({i},{j}) disagrees (n={n})")
         independence += 1
-    return CriterionResult(6, "homomorphism and pair independence", True,
-                           f"{pairs} member pairs, {independence} pair-independence checks",
-                           time.time() - start)
+    return f"{pairs} member pairs, {independence} pair-independence checks"
 
 
-def criterion_7_denominator_identity() -> CriterionResult:
+@_criterion(7, "denominator identity")
+def criterion_7_denominator_identity() -> str:
     """Signed staircase orbit equals the Vandermonde product."""
-    start = time.time()
     for m in range(0, 7):
         if alternant(rho(m)) != denominators(m)[1]:
-            return CriterionResult(7, "denominator identity", False,
-                                   f"mismatch at m={m}", time.time() - start)
-    return CriterionResult(7, "denominator identity", True, "m <= 6 exact",
-                           time.time() - start)
+            raise _Mismatch(f"mismatch at m={m}")
+    return "m <= 6 exact"
 
 
-def criterion_8_quotient_reductions() -> CriterionResult:
+@_criterion(8, "quotient reductions")
+def criterion_8_quotient_reductions() -> str:
     """Quotient reductions are idempotent and multiplicative up to reduction."""
-    start = time.time()
     rng = random.Random(20260811)
     checked = 0
     for n in (2, 3):
@@ -262,18 +258,13 @@ def criterion_8_quotient_reductions() -> CriterionResult:
             for which in ("sp", "SP"):
                 rf = quotient_reduce(f, which)
                 if quotient_reduce(rf, which) != rf:
-                    return CriterionResult(8, "quotient reductions", False,
-                                           f"not idempotent (n={n}, {which})",
-                                           time.time() - start)
+                    raise _Mismatch(f"not idempotent (n={n}, {which})")
                 lhs = quotient_reduce(f * g, which)
                 rhs = quotient_reduce(rf * quotient_reduce(g, which), which)
                 if lhs != rhs:
-                    return CriterionResult(8, "quotient reductions", False,
-                                           f"not multiplicative (n={n}, {which})",
-                                           time.time() - start)
+                    raise _Mismatch(f"not multiplicative (n={n}, {which})")
             checked += 1
-    return CriterionResult(8, "quotient reductions", True,
-                           f"{checked} random symmetric inputs", time.time() - start)
+    return f"{checked} random symmetric inputs"
 
 
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (

@@ -25,7 +25,7 @@ def rho(n: int) -> Weight:
 
 def is_dominant(lam: Iterable[int]) -> bool:
     lam = tuple(lam)
-    return all(lam[i] >= lam[i + 1] for i in range(len(lam) - 1))
+    return all(map(operator.ge, lam, lam[1:]))
 
 
 def check_dominant(lam: Iterable[int]) -> Weight:

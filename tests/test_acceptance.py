@@ -2,6 +2,7 @@
 zero tolerance) and prints one pass/fail line."""
 
 from perisym import verify
+from perisym.laurent import LaurentPoly
 
 
 def _check(criterion):
@@ -40,3 +41,20 @@ def test_criterion_7_denominator_identity():
 
 def test_criterion_8_quotient_reductions():
     _check(verify.criterion_8_quotient_reductions)
+
+
+class TestFailureExits:
+    """A criterion's own failure exit reports its number, name and the
+    detail of its first mismatch."""
+
+    def test_criterion_7_reports_first_mismatch(self, monkeypatch):
+        monkeypatch.setattr(verify, "alternant", lambda lam: LaurentPoly.zero(len(lam)))
+        result = verify.criterion_7_denominator_identity()
+        assert (result.number, result.name, result.passed, result.detail) == (
+            7, "denominator identity", False, "mismatch at m=0")
+
+    def test_criterion_8_reports_first_mismatch(self, monkeypatch):
+        monkeypatch.setattr(verify, "quotient_reduce", lambda f, which: f + 1)
+        result = verify.criterion_8_quotient_reductions()
+        assert (result.number, result.name, result.passed, result.detail) == (
+            8, "quotient reductions", False, "not idempotent (n=2, sp)")
