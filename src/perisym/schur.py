@@ -5,7 +5,10 @@ a given dominant highest weight (negative entries allowed) from its
 dominant coefficients: the coefficient of x^nu for weakly decreasing nu is
 the Kostka number K(lam, nu), which the branching rule gives by restricting
 to one variable fewer at a time, and symmetry copies it to every
-permutation of nu.  No polynomial division is involved.
+permutation of nu.  No polynomial division is involved.  The Kostka
+table of lam is the table of lam - lam_n shifted by lam_n, so one
+read-only table per translation class is computed once and kept for the
+life of the process; it is never evicted.
 ``SchurExpansion.to_poly`` sums before it expands: the Kostka tables of
 all its weights are added into one table of dominant coefficients, and
 only the nonzero entries of that sum are copied to their permutations,
@@ -15,9 +18,10 @@ q * a_rho is the antisymmetrization of x^rho * q, so every term of q
 contributes one signed alternant a_{lam + rho} and no Schur polynomial is
 built.  A symmetric q is a sum of orbit sums, so the expansion reads
 only the dominant terms of q and adds the expansion of each orbit sum
-(``_schur_coefficients``), which is straightened once per process.  ``alternant`` and ``denominators`` give the pieces of the
-bialternant formula s_lam = a_{lam + rho} / a_rho, which other modules and
-the checks in ``verify`` use.
+(``_schur_coefficients``), which is straightened once per process.
+``alternant`` and ``denominators`` give the pieces of the bialternant
+formula s_lam = a_{lam + rho} / a_rho, which other modules and the
+checks in ``verify`` use.
 """
 
 from __future__ import annotations
@@ -160,6 +164,7 @@ def alternant(nu: Iterable[int]) -> LaurentPoly:
 
 
 _schur_cache: dict[Weight, LaurentPoly] = {}
+_kostka_cache: dict[Weight, Mapping[Weight, int]] = {}
 
 
 def _dominant_coefficients(combination: Mapping[Weight, int]) -> dict[Weight, int]:
@@ -167,6 +172,12 @@ def _dominant_coefficients(combination: Mapping[Weight, int]) -> dict[Weight, in
     exponents nu: D[nu] = sum_lam c_lam K(lam, nu), with the Kostka
     numbers K(lam, nu) given by the branching rule.  Zero sums are
     dropped.
+
+    s_{lam + c} = (x_1...x_n)^c s_lam, so K(lam + c, nu + c) = K(lam, nu):
+    the table of lam is the table of lam - lam_n shifted by lam_n.  Tables
+    are kept for the life of the process, keyed by the translate with
+    least entry 0, and are read-only and never evicted; each is shifted
+    back as it is added into the sum.
 
     In k variables the branching rule reads
     s_lam = sum_{lam'} x_k^{|lam| - |lam'|} s_{lam'}(x_1, ..., x_{k-1}) over
@@ -178,8 +189,8 @@ def _dominant_coefficients(combination: Mapping[Weight, int]) -> dict[Weight, in
     |lam| / k (it is the smallest entry).  The upper bound also makes the
     entry of a one-entry lam' at least its floor, so that base case needs
     no check.  The table of (lam', floor) depends on nothing else, so one
-    memo, keyed by (lam', floor), serves every lam of the combination; it
-    lives only for this call.
+    memo, keyed by (lam', floor), serves every table this call has to
+    compute, and is dropped when the call returns.
     """
     memo: dict[tuple[Weight, int], dict[Weight, int]] = {}
 
@@ -201,9 +212,17 @@ def _dominant_coefficients(combination: Mapping[Weight, int]) -> dict[Weight, in
         return out
 
     summed: dict[Weight, int] = {}
+    get = summed.get
     for lam, c_lam in combination.items():
-        for nu, k in kostka(lam, min(lam, default=0)).items():
-            summed[nu] = summed.get(nu, 0) + c_lam * k
+        low = min(lam, default=0)
+        base = tuple(e - low for e in lam)
+        table = _kostka_cache.get(base)
+        if table is None:
+            table = _kostka_cache[base] = MappingProxyType(kostka(base, 0))
+        shift = (low,) * len(lam)
+        for nu, k in table.items():
+            nu = tuple(map(operator.add, nu, shift))
+            summed[nu] = get(nu, 0) + c_lam * k
     return {nu: coef for nu, coef in summed.items() if coef}
 
 
