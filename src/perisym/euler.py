@@ -212,8 +212,7 @@ def _tail_table(kappa: Weight, mu: Weight) -> Mapping[Weight, int]:
         coeffs = _straightened((map(operator.add, shifted, t), d * c)
                                for t, c in schur_poly(kappa).terms.items()
                                for shifted, d in products)
-        table = _tail_cache[kappa, mu] = MappingProxyType(
-            {beta: c for beta, c in coeffs.items() if c})
+        table = _tail_cache[kappa, mu] = MappingProxyType(coeffs)
     return table
 
 

@@ -43,9 +43,11 @@ def xgcd(a: int, b: int) -> tuple[int, int, int]:
 
 
 def _axpy(dst: dict, src: dict, q: int) -> tuple[list, list]:
-    """dst += q * src; returns (keys added, keys removed).
-
-    Stores no zero entries: ``q == 0`` leaves dst as it is.
+    """dst += q * src; returns (keys added, keys removed), each in the
+    order src yields them.  Stores no zero: a key that sums to zero is
+    deleted, and ``q == 0`` leaves dst as it is.  The one "add, drop if
+    zero" loop, for the solver here, ``+`` and ``-`` of polynomials,
+    t-slices and combinations, Schur sums and the thin-Kac peel.
     """
     added, removed = [], []
     if not q:

@@ -25,6 +25,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import ArityMismatch, BadIndices, NotDivisible
+from .intlinalg import _axpy
 
 
 def grlex_key(exps: tuple[int, ...]) -> tuple:
@@ -163,20 +164,19 @@ class LaurentPoly:
         if self.arity != other.arity:
             raise ArityMismatch(f"arity {self.arity} vs {other.arity}")
 
-    def __add__(self, other) -> "LaurentPoly":
+    def _plus(self, other, sign: int) -> "LaurentPoly":
+        """self + sign * other, with no negated copy of other."""
         if isinstance(other, int):
             other = LaurentPoly.constant(self.arity, other)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
         out = dict(self.terms)
-        for exps, coef in other.terms.items():
-            new = out.get(exps, 0) + coef
-            if new:
-                out[exps] = new
-            else:
-                out.pop(exps, None)
+        _axpy(out, other.terms, sign)
         return LaurentPoly._raw(self.arity, out)
+
+    def __add__(self, other) -> "LaurentPoly":
+        return self._plus(other, 1)
 
     __radd__ = __add__
 
@@ -184,11 +184,7 @@ class LaurentPoly:
         return LaurentPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other) -> "LaurentPoly":
-        if isinstance(other, int):
-            other = LaurentPoly.constant(self.arity, other)
-        if not isinstance(other, LaurentPoly):
-            return NotImplemented
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __rsub__(self, other) -> "LaurentPoly":
         return (-self) + other
@@ -245,7 +241,9 @@ class LaurentPoly:
     # -- symmetric-group machinery --------------------------------------
 
     def swap_variables(self, i: int, j: int) -> "LaurentPoly":
-        """The polynomial with variables x_i and x_j exchanged (1-based)."""
+        """The polynomial with x_i and x_j exchanged (1-based, in 1..arity)."""
+        if not (1 <= i <= self.arity and 1 <= j <= self.arity):
+            raise BadIndices(f"bad swap ({i}, {j}) for arity {self.arity}")
         if i == j:
             return self
         a, b = i - 1, j - 1
@@ -522,22 +520,22 @@ class TSlice:
     def is_zero(self) -> bool:
         return not self.terms
 
-    def __add__(self, other: "TSlice") -> "TSlice":
+    def _plus(self, other, sign: int) -> "TSlice":
+        if not isinstance(other, TSlice):
+            return NotImplemented
         self._check_compatible(other)
         out = dict(self.terms)
-        for key, coef in other.terms.items():
-            new = out.get(key, 0) + coef
-            if new:
-                out[key] = new
-            else:
-                del out[key]
+        _axpy(out, other.terms, sign)
         return TSlice(self.base_arity, self.pair, out)
+
+    def __add__(self, other: "TSlice") -> "TSlice":
+        return self._plus(other, 1)
 
     def __neg__(self) -> "TSlice":
         return TSlice(self.base_arity, self.pair, {k: -c for k, c in self.terms.items()})
 
     def __sub__(self, other: "TSlice") -> "TSlice":
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, other) -> "TSlice":
         if isinstance(other, int):
@@ -545,6 +543,8 @@ class TSlice:
                 return TSlice(self.base_arity, self.pair, {})
             return TSlice(self.base_arity, self.pair,
                           {k: c * other for k, c in self.terms.items()})
+        if not isinstance(other, TSlice):
+            return NotImplemented
         self._check_compatible(other)
         out: dict[tuple[int, tuple[int, ...]], int] = {}
         for (ta, ea), ca in self.terms.items():

@@ -34,6 +34,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotDominant, NotSymmetric
+from .intlinalg import _axpy
 from .laurent import (
     LaurentPoly,
     _arrangements,
@@ -79,21 +80,23 @@ class _WeightCombination:
     def sorted_items(self) -> list[tuple[Weight, int]]:
         return sorted(self.coeffs.items(), key=lambda kv: grlex_key(kv[0]), reverse=True)
 
-    def __add__(self, other):
+    def _plus(self, other, sign: int):
         if type(other) is not type(self):
             return NotImplemented
         if self.arity != other.arity:
             raise NotDominant("cannot add classes of different arities")
         out = dict(self.coeffs)
-        for lam, coef in other.coeffs.items():
-            out[lam] = out.get(lam, 0) + coef
+        _axpy(out, other.coeffs, sign)
         return type(self)(self.arity, out)
+
+    def __add__(self, other):
+        return self._plus(other, 1)
 
     def __neg__(self):
         return type(self)(self.arity, {lam: -c for lam, c in self.coeffs.items()})
 
     def __sub__(self, other):
-        return self + (-other)
+        return self._plus(other, -1)
 
     def __mul__(self, scalar: int):
         if not isinstance(scalar, int):
@@ -244,21 +247,21 @@ def schur_poly(lam: Iterable[int]) -> LaurentPoly:
 def _straightened(alternants: Iterable[tuple[Iterable[int], int]]) -> dict[Weight, int]:
     """The c_lam with sum_(nu, c) c * a_nu = sum_lam c_lam a_{lam + rho},
     where a_nu is the alternant of nu: straightening turns each a_nu into
-    zero or +-a_{lam + rho}.  Entries may be zero."""
+    zero or +-a_{lam + rho}.  Zero sums are dropped."""
     coeffs: dict[Weight, int] = {}
     for nu, coef in alternants:
         res = straighten_alternant(nu)
         if res is not None:
             sign, lam = res
             coeffs[lam] = coeffs.get(lam, 0) + sign * coef
-    return coeffs
+    return {lam: c for lam, c in coeffs.items() if c}
 
 
 def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:
     """The c_lam with A(x^rho * f) = sum_lam c_lam a_{lam + rho}, where A
     antisymmetrizes: each term c x^e contributes c a_{e + rho}, so this is
     one straightening pass over the terms, in time linear in their
-    number.  Entries may be zero.
+    number.  Only nonzero c_lam are returned.
     """
     staircase = rho(f.arity)
     return _straightened((map(operator.add, exps, staircase), coef)
@@ -286,8 +289,7 @@ def _orbit_schur(nu: Weight) -> Mapping[Weight, int]:
             staircase = rho(len(nu))
             coeffs = _straightened((map(operator.add, w, staircase), 1)
                                    for w in _arrangements(nu))
-        table = _orbit_schur_cache[nu] = MappingProxyType(
-            {lam: c for lam, c in coeffs.items() if c})
+        table = _orbit_schur_cache[nu] = MappingProxyType(coeffs)
     return table
 
 
@@ -303,12 +305,9 @@ def _schur_coefficients(f: LaurentPoly) -> dict[Weight, int]:
     for k in range(f.arity - 1):
         dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
     coeffs: dict[Weight, int] = {}
-    get = coeffs.get
     for nu in dominant:
-        coef = f.terms[nu]
-        for lam, a in _orbit_schur(nu).items():
-            coeffs[lam] = get(lam, 0) + coef * a
-    return {lam: c for lam, c in coeffs.items() if c}
+        _axpy(coeffs, _orbit_schur(nu), f.terms[nu])
+    return coeffs
 
 
 def schur_expand(f: LaurentPoly) -> SchurExpansion:

@@ -23,6 +23,7 @@ from types import MappingProxyType
 from typing import Iterable, Mapping
 
 from .errors import NotDivisible
+from .intlinalg import _axpy
 from .laurent import LaurentPoly, _from_orbits, _multiply_by_binomials, _read_only
 from .schur import (SchurExpansion, _WeightCombination, _schur_coefficients, _straightened,
                     denominator_factors)
@@ -108,11 +109,12 @@ def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
     lowest, highest = min(first), max(first) - (n - 1)
     tops = [tuple(map(operator.neg, mu)) for mu in g]
     heapq.heapify(tops)
+    queued = set(g)  # a weight that sums to zero keeps its entry
     coords: dict[Weight, int] = {}
     while tops:
         mu = tuple(map(operator.neg, heapq.heappop(tops)))
-        top = g.pop(mu)
-        if not top:
+        top = g.get(mu)
+        if top is None:  # summed to zero after it was queued
             continue
         lam = tuple(e - (n - 1) for e in mu)
         if lam[-1] < lowest or lam[0] > highest:
@@ -122,11 +124,9 @@ def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
         if r:
             raise NotDivisible("not divisible by R")
         coords[lam] = c
-        for nu, b in table.items():
-            if nu in g:
-                g[nu] -= c * b
-            elif nu != mu:
-                g[nu] = -c * b
+        for nu in _axpy(g, table, -c)[0]:  # removes mu, adds only below it
+            if nu not in queued:
+                queued.add(nu)
                 heapq.heappush(tops, tuple(map(operator.neg, nu)))
     return SchurExpansion(n, _parity_signed(coords))
 
@@ -150,8 +150,7 @@ def _brauer_klimyk(lam: Weight, r_terms: tuple[tuple[Weight, int], ...]) -> Mapp
         shifted = tuple(map(operator.add, lam, rho(len(lam))))
         coeffs = _straightened((map(operator.add, shifted, beta), coef)
                                for beta, coef in r_terms)
-        table = _brauer_klimyk_cache[lam] = MappingProxyType(
-            {mu: c for mu, c in coeffs.items() if c})
+        table = _brauer_klimyk_cache[lam] = MappingProxyType(coeffs)
     return table
 
 

@@ -18,7 +18,7 @@ from perisym import (
     schur_poly,
 )
 from perisym.laurent import monomial_orbit_sum, permutations_with_signs
-from perisym.schur import _schur_cache, alternant, denominator_factors
+from perisym.schur import _kostka_cache, _schur_cache, alternant, denominator_factors
 from perisym.weights import rho
 
 import util
@@ -96,8 +96,12 @@ def dominant_weights(max_arity: int, low: int, high: int):
 
 
 def fresh_schur_poly(lam) -> LaurentPoly:
-    """schur_poly computed now, not read from the cache."""
-    _schur_cache.pop(tuple(lam), None)
+    """schur_poly computed now, not read from the cache: the Kostka table
+    of lam's translation class is dropped too, so the branching
+    recursion runs again."""
+    lam = tuple(lam)
+    _schur_cache.pop(lam, None)
+    _kostka_cache.pop(tuple(e - lam[-1] for e in lam), None)
     return schur_poly(lam)
 
 
