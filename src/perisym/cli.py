@@ -27,6 +27,9 @@ from .verify import ALL_CRITERIA, run_all
 
 def _parse_weight(text: str, allow_symbol: str | None = None,
                   symbol_value: int | None = None) -> tuple[int, ...]:
+    """Comma-separated entries; empty or blank text is the weight ``()``."""
+    if not text.strip():
+        return ()
     entries = []
     for token in text.split(","):
         token = token.strip()
@@ -210,7 +213,7 @@ def certify_cmd(n, payload, max_window):
 def verify_suite(ctx, criteria, as_json):
     """Run the acceptance battery; nonzero exit on any failure."""
     numbers = None
-    if criteria:
+    if criteria is not None:
         try:
             numbers = [int(tok) for tok in criteria.split(",")]
         except ValueError:

@@ -47,7 +47,9 @@ def _axpy(dst: dict, src: dict, q: int) -> tuple[list, list]:
     order src yields them.  Stores no zero: a key that sums to zero is
     deleted, and ``q == 0`` leaves dst as it is.  The one "add, drop if
     zero" loop, for the solver here, ``+`` and ``-`` of polynomials,
-    t-slices and combinations, Schur sums and the thin-Kac peel.
+    t-slices and combinations, Schur sums and the thin-Kac peel.  The
+    elimination reads both lists to keep its occupancy sets; the peel
+    reads ``added`` to queue new weights.
     """
     added, removed = [], []
     if not q:
@@ -79,6 +81,17 @@ def _gcd_pair(x: dict, y: dict, a: int, b: int) -> tuple[dict, dict]:
     _axpy(second, x, -(b // g))
     _axpy(second, y, a // g)
     return first, second
+
+
+def _join(occ: dict, heap: list, row, ci: int) -> None:
+    """Column ci gained an entry at row: add it to the row's set, and
+    push the row's count when the row enters the occupied set."""
+    s = occ.get(row)
+    if s is None:
+        occ[row] = {ci}
+        heapq.heappush(heap, (1, row))
+    else:
+        s.add(ci)
 
 
 def _leave(occ: dict, heap: list, row, ci: int) -> None:
@@ -169,26 +182,11 @@ class EchelonSystem:
             if b % a == 0:
                 q = -(b // a)
                 log.append((c, pivot, q))
-                dst = cols[c]
-                # dst += q * src, with the occupancy sets and heap kept
-                # up to date inline: this loop is the factor's hot path.
-                for r, val in src.items():
-                    cur = dst.get(r)
-                    if cur is None:
-                        dst[r] = q * val
-                        s = occ.get(r)
-                        if s is None:
-                            occ[r] = {c}
-                            heapq.heappush(heap, (1, r))
-                        else:
-                            s.add(c)
-                    else:
-                        new = cur + q * val
-                        if new:
-                            dst[r] = new
-                        else:
-                            del dst[r]
-                            _leave(occ, heap, r, c)
+                added, removed = _axpy(cols[c], src, q)
+                for r in added:
+                    _join(occ, heap, r, c)
+                for r in removed:
+                    _leave(occ, heap, r, c)
             else:
                 log.append((pivot, c, a, b))
                 new_p, new_c = _gcd_pair(src, cols[c], a, b)
@@ -204,12 +202,7 @@ class EchelonSystem:
         self.cols[ci] = new_col
         for row in new_col:
             if row not in old:
-                s = occ.get(row)
-                if s is None:
-                    occ[row] = {ci}
-                    heapq.heappush(heap, (1, row))
-                else:
-                    s.add(ci)
+                _join(occ, heap, row, ci)
         for row in old:
             if row not in new_col:
                 _leave(occ, heap, row, ci)

@@ -229,6 +229,33 @@ class TestExitCodes:
         assert main(["ds", "--n", "3", "-f", "no-such-file.json"]) == 1
 
 
+class TestEmptyWeight:
+    """Empty --lambda and --gamma text is the weight of arity 0."""
+
+    @pytest.mark.parametrize("command, value", [
+        ("schur", LaurentPoly(0, {(): 1})),
+        ("thinkac", sch_thin_kac(())),
+    ])
+    def test_rank_zero_weight(self, capsys, command, value):
+        code, data = run_json(capsys, command, "--n", "0", "--lambda", "")
+        assert code == 0
+        assert serialize.poly_from_dict(data) == value
+
+    @pytest.mark.parametrize("text", ["", "  "])
+    def test_rank_zero_euler(self, capsys, text):
+        code, data = run_json(capsys, "euler", "--n", "0", "--gamma", text,
+                              "--lambda", text)
+        assert code == 0
+        poly, expansion = euler_characteristic((), ())
+        assert serialize.poly_from_dict(data["poly"]) == poly
+        assert serialize.schur_from_dict(data["schur"]) == expansion
+
+    def test_empty_weight_at_positive_rank_is_a_length_mismatch(self, capsys):
+        code, data = run_json(capsys, "schur", "--n", "2", "--lambda", "")
+        assert code == 2
+        assert data["error"] == "ArityMismatch"
+
+
 class TestSerializationRoundtrips:
     def test_poly_duplicate_exponent_rejected(self):
         with pytest.raises(ValueError):
@@ -288,6 +315,7 @@ class TestInputBoundary:
         assert data["symmetric"] is True
 
     @pytest.mark.parametrize("criteria, message", [
+        ("", "bad --criteria"),
         ("x", "bad --criteria"),
         ("1,,2", "bad --criteria"),
         ("9", "unknown criterion numbers [9]"),
