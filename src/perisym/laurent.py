@@ -402,90 +402,6 @@ def _divide_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> Laur
     return functools.reduce(LaurentPoly.exact_divide, factors, f)
 
 
-# -- packed exponents ------------------------------------------------------
-
-
-class _Packing:
-    """Exponent vectors packed into Python ints, for
-    :func:`_multiply_by_binomials`.
-
-    ``e`` packs to ``sum_k (e_k - offset) * 2**(bits * k)``.  The map is
-    linear up to a constant, so moving a packed vector by ``d`` adds the
-    int :meth:`move` ``(d)``, and a coordinate is read back with a shift
-    and a mask.  It is injective, and :meth:`unpack` inverts it, on the
-    vectors whose coordinates all lie in ``[offset, offset + 2**bits)``:
-    ``low`` and ``high`` must bound every vector that is packed or formed
-    by moving packed vectors.  The arity is at least one, as a two-term
-    polynomial needs.
-    """
-
-    __slots__ = ("offset", "mask", "shifts", "weights")
-
-    def __init__(self, arity: int, low: int, high: int):
-        bits = max(high - low, 1).bit_length()
-        self.offset = low
-        self.mask = (1 << bits) - 1
-        self.shifts = range(0, bits * arity, bits)
-        self.weights = [1 << s for s in self.shifts]
-
-    def move(self, d: Iterable[int]) -> int:
-        return sum(map(operator.mul, d, self.weights))
-
-    # Both directions work a coordinate at a time over all terms, which
-    # takes about two thirds of the time of a loop over each vector.
-
-    def pack(self, terms: Mapping[tuple[int, ...], int]) -> dict[int, int]:
-        keys = [-self.offset * sum(self.weights)] * len(terms)
-        for s, column in zip(self.shifts, zip(*terms)):
-            keys = list(map(operator.add, keys, [e << s for e in column]))
-        return dict(zip(keys, terms.values()))
-
-    def unpack(self, packed: dict[int, int]) -> dict[tuple[int, ...], int]:
-        """The exponent tuples of packed terms; zero coefficients are dropped."""
-        mask, offset = self.mask, self.offset
-        packed = {e: c for e, c in packed.items() if c}
-        columns = [[(e >> s & mask) + offset for e in packed] for s in self.shifts]
-        return dict(zip(zip(*columns), packed.values()))
-
-
-def _box(terms: Iterable[tuple[int, ...]]) -> tuple[list[int], list[int]]:
-    """Coordinatewise minima and maxima of nonempty exponent vectors."""
-    columns = list(zip(*terms))
-    return list(map(min, columns)), list(map(max, columns))
-
-
-def _multiply_by_binomials(f: LaurentPoly, factors: Iterable[LaurentPoly]) -> LaurentPoly:
-    """``f`` times the product of two-term ``factors`` on packed
-    exponents (:class:`_Packing`): per factor ``c1 x^u + c2 x^v``, the
-    terms are copied moved by u (a plain copy for ``1 - x_i x_j``) and
-    added in moved by v.  The bounds are the boxes of the partial
-    products.  Zeros are dropped once, on unpacking.
-    """
-    factors = tuple(factors)
-    if not factors or f.is_zero():
-        return f
-    n = f.arity
-    lo, hi = _box(f.terms)
-    low, high = min(lo), max(hi)
-    for g in factors:
-        (u, _), (v, _) = g.terms.items()
-        lo = [l + min(a, b) for l, a, b in zip(lo, u, v)]
-        hi = [h + max(a, b) for h, a, b in zip(hi, u, v)]
-        low, high = min(low, *lo), max(high, *hi)
-    packing = _Packing(n, low, high)
-    terms = packing.pack(f.terms)
-    for g in factors:
-        (u, c1), (v, c2) = g.terms.items()
-        U, V = packing.move(u), packing.move(v)
-        out = dict(terms) if not U and c1 == 1 else {e + U: c1 * c for e, c in terms.items()}
-        get = out.get
-        for e, c in terms.items():
-            e += V
-            out[e] = get(e, 0) + c2 * c
-        terms = out
-    return LaurentPoly._raw(n, packing.unpack(terms))
-
-
 class TSlice:
     """A polynomial with one variable pair evaluated at (t, t^{-1}).
 

@@ -249,8 +249,8 @@ class CertificateLevel:
 
     def element(self) -> LaurentPoly:
         """The rank's element: the lift plus the kernel combination
-        sum_lam c_lam * sch_thin_kac(lam), replayed as one Schur sum
-        multiplied by R (see :func:`thinkac.thin_kac_combination`)."""
+        sum_lam c_lam * sch_thin_kac(lam), replayed as one sum of the
+        Schur expansions of R s_lam (see :func:`thinkac.thin_kac_combination`)."""
         return self.lift_part + thin_kac_combination(
             self.kernel_coeffs.arity, self.kernel_coeffs.coeffs
         )

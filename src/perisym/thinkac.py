@@ -8,10 +8,11 @@ diagram, with signs normalized so that summing over all positions
 reproduces multiplication by the supercharacter of the standard module.
 
 :func:`thin_kac_combination` and its inverse :func:`_thin_kac_coordinates`
-are the two directions of the change of basis to polynomials.  The
-first multiplies a Schur sum by the factors of R; the second divides
-nothing: it peels the Schur coefficients of its input by the cached
-Brauer-Klimyk expansions of R * s_lam, one weight at a time.
+are the two directions of the change of basis to polynomials.  Both read
+the cached Brauer-Klimyk expansions of R * s_lam in Schur coordinates
+(:func:`_brauer_klimyk`), and neither multiplies nor divides by R: the
+first sums the tables of its weights and writes the sum once; the second
+peels the Schur coefficients of its input by them, one weight at a time.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from typing import Iterable, Mapping
 
 from .errors import NotDivisible
 from .intlinalg import _axpy
-from .laurent import LaurentPoly, _from_orbits, _multiply_by_binomials, _read_only
+from .laurent import LaurentPoly, _from_orbits, _read_only
 from .schur import (SchurExpansion, _WeightCombination, _schur_coefficients, _straightened,
                     denominator_factors)
 from .weights import Weight, check_dominant, from_diagram, parity, rho, to_diagram
@@ -52,17 +53,21 @@ def sch_thin_kac(lam: Iterable[int]) -> LaurentPoly:
 
 def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPoly:
     """The polynomial sum_lam c_lam * sch_thin_kac(lam) for thin-Kac
-    coordinates ``coeffs`` in ``arity`` variables: the Schur sum
-    sum_lam (-1)^parity(lam) c_lam s_lam, written once
-    (:meth:`schur.SchurExpansion.to_poly`) and multiplied by the factors
-    of R on packed exponents (:func:`laurent._multiply_by_binomials`).
-    No thin-Kac supercharacter or s_lam is built, and a zero sum is
-    returned before the factors of R are.
+    coordinates ``coeffs`` in ``arity`` variables: R q for the Schur sum
+    q = sum_lam (-1)^parity(lam) c_lam s_lam, written once from the sum of
+    the Brauer-Klimyk tables of R s_lam (:func:`_brauer_klimyk`) weighted
+    by q; nothing is multiplied by R.  The coordinates are checked before
+    any table is read, as the tables are cached by lam alone, and a zero
+    sum is returned before the factors of R are built.
     """
-    out = SchurExpansion(arity, _parity_signed(coeffs)).to_poly()
-    if out.is_zero():
-        return out
-    return _multiply_by_binomials(out, denominator_factors(arity)[0])
+    q = SchurExpansion(arity, _parity_signed(coeffs))
+    if arity < 2 or q.is_zero():  # R = 1, or nothing to multiply
+        return q.to_poly()
+    r_terms = _expanded(denominator_factors(arity)[0])
+    g: dict[Weight, int] = {}
+    for lam, c in q.coeffs.items():
+        _axpy(g, _brauer_klimyk(lam, r_terms), c)
+    return SchurExpansion(arity, g).to_poly()
 
 
 def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
@@ -134,7 +139,7 @@ def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:
 @functools.cache
 def _expanded(factors: tuple[LaurentPoly, ...]) -> tuple[tuple[Weight, int], ...]:
     """The terms of the product of nonempty ``factors``, cached."""
-    return tuple(_multiply_by_binomials(LaurentPoly.one(factors[0].arity), factors).terms.items())
+    return tuple(functools.reduce(operator.mul, factors).terms.items())
 
 
 _brauer_klimyk_cache: dict[Weight, Mapping[Weight, int]] = {}

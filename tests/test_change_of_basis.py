@@ -2,12 +2,15 @@
 
 ``thinkac.thin_kac_combination`` writes thin-Kac coordinates as a
 polynomial; ``kernel_decompose`` checks that a polynomial lies in the
-kernel of the evaluation map and reads its coordinates back.  A zero
-input takes neither direction through R, so no factor of R is built at
-any arity.
+kernel of the evaluation map and reads its coordinates back.  Both read
+the same cached Brauer-Klimyk tables, so the combination is also checked
+against R multiplied in one factor at a time.  A zero input takes neither
+direction through R, so no factor of R is built at any arity.
 """
 
+import functools
 import json
+import operator
 import os
 import resource
 import subprocess
@@ -15,12 +18,15 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import perisym
-from perisym import KClass, LaurentPoly, SchurExpansion, certify, kclass_sch, kernel_decompose
+from perisym import (KClass, LaurentPoly, NotDominant, SchurExpansion, certify, kclass_sch,
+                     kernel_decompose)
 from perisym import thinkac
+from perisym.schur import denominator_factors
 from perisym.thinkac import thin_kac_combination
+from perisym.weights import parity
 
 
 @st.composite
@@ -52,6 +58,52 @@ class TestRoundTrip:
         monkeypatch.setattr(LaurentPoly, "is_symmetric", spy)
         kernel_decompose(f)
         assert calls == [3]
+
+
+@st.composite
+def wide_thin_kac_coordinates(draw):
+    """Arity 0 to 5 and up to three dominant weights with entries in
+    [-2, 3], each with a coefficient in [-3, 3] (zeros included)."""
+    n = draw(st.integers(0, 5))
+    weight = st.lists(st.integers(-2, 3), min_size=n, max_size=n).map(
+        lambda entries: tuple(sorted(entries, reverse=True)))
+    return n, draw(st.dictionaries(weight, st.integers(-3, 3), max_size=3))
+
+
+def product_with_r(n, coeffs):
+    """The parity-signed Schur sum multiplied by the factors of R one at a
+    time."""
+    signed = {lam: -c if parity(lam) else c for lam, c in coeffs.items()}
+    return functools.reduce(operator.mul, denominator_factors(n)[0],
+                            SchurExpansion(n, signed).to_poly())
+
+
+class TestAgainstTheProduct:
+    @settings(max_examples=60, deadline=None)
+    @given(wide_thin_kac_coordinates())
+    @example((5, {(3, 3, 0, -2, -2): -3, (1, 1, 1, 1, 1): 2}))
+    @example((4, {(3, 1, 0, -2): 0, (0, 0, 0, 0): 0}))
+    @example((3, {}))
+    @example((1, {(3,): 2, (-2,): -1}))
+    @example((0, {(): 3}))
+    def test_equals_the_factor_by_factor_product(self, case):
+        n, coeffs = case
+        assert thin_kac_combination(n, coeffs) == product_with_r(n, coeffs)
+
+
+class TestBadCoordinatesReadNoTable:
+    @pytest.mark.parametrize("coeffs", [{(1, 0): 1}, {(0, 1, 2): 1}],
+                             ids=["short_weight", "increasing_weight"])
+    def test_raises_and_leaves_the_tables(self, monkeypatch, coeffs):
+        # Tables are cached by weight alone: a table for (1, 0) built from
+        # the factors of R in three variables would answer later calls in two.
+        monkeypatch.delitem(thinkac._brauer_klimyk_cache, (1, 0), raising=False)
+        before = dict(thinkac._brauer_klimyk_cache)
+        with pytest.raises(NotDominant):
+            thin_kac_combination(3, coeffs)
+        assert thinkac._brauer_klimyk_cache == before
+        assert thin_kac_combination(2, {(1, 0): 1}) == LaurentPoly(
+            2, {(0, 1): -1, (1, 0): -1, (1, 2): 1, (2, 1): 1})
 
 
 @pytest.fixture

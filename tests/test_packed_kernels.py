@@ -1,18 +1,20 @@
-"""The packed-exponent binomial kernels against the tuple sweep they
-replaced and the generic product.
+"""Exact division by two-term factors, one at a time or by all the
+factors of R, against the tuple sweep it replaced.
 
 ``reference_divide_by_binomial`` is the line sweep on exponent tuples
 that ``exact_divide`` ran before exponents were packed into ints; the
 factor-by-factor loops over it and over ``LaurentPoly.__mul__`` are the
 independent side.  Exponents span up to +-40, so line representatives
 (one coordinate a difference of two exponents) leave the dividend's box.
+Multiplication by R is checked against the factor-by-factor product in
+``tests/test_change_of_basis.py``.
 """
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
 from perisym import LaurentPoly, NotDivisible
-from perisym.laurent import _divide_by_binomials, _multiply_by_binomials
+from perisym.laurent import _divide_by_binomials
 from perisym.schur import denominator_factors
 
 
@@ -72,10 +74,6 @@ def packed_divide_by_r(f: LaurentPoly) -> LaurentPoly:
     return _divide_by_binomials(f, denominator_factors(f.arity)[0])
 
 
-def packed_multiply_by_r(f: LaurentPoly) -> LaurentPoly:
-    return _multiply_by_binomials(f, denominator_factors(f.arity)[0])
-
-
 def wide_poly(n: int, span: int = 40, max_size: int = 5):
     return st.dictionaries(st.tuples(*[st.integers(-span, span)] * n),
                            st.integers(-9, 9), max_size=max_size).map(
@@ -132,22 +130,6 @@ class TestRDivision:
             assert packed_divide_by_r(f) == f
 
 
-class TestRMultiplication:
-    @settings(max_examples=150, deadline=None)
-    @given(wide)
-    def test_equals_the_factor_by_factor_product(self, f):
-        assert packed_multiply_by_r(f) == reference_multiply_by_r(f)
-
-    def test_cancelling_factors_drop_zeros(self):
-        f = LaurentPoly(2, {(0, 0): 1, (1, 1): 1})
-        assert packed_multiply_by_r(f) == LaurentPoly(2, {(0, 0): 1, (2, 2): -1})
-
-    def test_low_arities_are_unchanged(self):
-        for n in (0, 1):
-            f = LaurentPoly.constant(n, -3)
-            assert packed_multiply_by_r(f) == f
-
-
 @st.composite
 def wide_binomial_case(draw):
     """A dividend and any two-term divisor with wide exponents: steps above
@@ -176,12 +158,6 @@ class TestOneFactor:
                     dividend.exact_divide(g)
             else:
                 assert dividend.exact_divide(g) == expected
-
-    @settings(max_examples=200, deadline=None)
-    @given(wide_binomial_case())
-    def test_multiply_as_the_product(self, case):
-        f, g = case
-        assert _multiply_by_binomials(f, (g,)) == f * g
 
     def test_collision_dividend_alone(self):
         with pytest.raises(NotDivisible):

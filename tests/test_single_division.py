@@ -1,7 +1,7 @@
 """One exact division: every divisor of ``LaurentPoly.exact_divide``, an
 int included, goes through the division by leading terms
-(``laurent._divide_by_heap``).  Packed exponents (``laurent._Packing``)
-serve only the multiplication by R in ``thin_kac_combination``."""
+(``laurent._divide_by_heap``), and ``thin_kac_combination`` divides
+nothing."""
 
 import pytest
 
@@ -17,20 +17,15 @@ x1 = LaurentPoly(1, {(1,): 1})
 
 @pytest.fixture
 def spies(monkeypatch):
-    """Counts of calls to ``_divide_by_heap`` and of ``_Packing`` builds."""
-    counts = {"heap": 0, "packing": 0}
-    divide_by_heap, packing = laurent._divide_by_heap, laurent._Packing
+    """Counts of calls to ``_divide_by_heap``."""
+    counts = {"heap": 0}
+    divide_by_heap = laurent._divide_by_heap
 
     def counted_heap(f, divisor):
         counts["heap"] += 1
         return divide_by_heap(f, divisor)
 
-    def counted_packing(*args):
-        counts["packing"] += 1
-        return packing(*args)
-
     monkeypatch.setattr(laurent, "_divide_by_heap", counted_heap)
-    monkeypatch.setattr(laurent, "_Packing", counted_packing)
     return counts
 
 
@@ -63,7 +58,7 @@ class TestOnePath:
     def test_every_length_goes_through_the_heap(self, spies, divisor):
         q = LaurentPoly(2, {(2, -1): 1, (0, 3): -5, (1, 1): 2})
         assert (q * divisor).exact_divide(divisor) == q
-        assert spies == {"heap": 1, "packing": 0}
+        assert spies == {"heap": 1}
 
     def test_r_divides_out_factor_by_factor(self, spies):
         factors = denominator_factors(4)[0]
@@ -72,9 +67,9 @@ class TestOnePath:
         for g in factors:
             product = product * g
         assert _divide_by_binomials(product, factors) == q
-        assert spies == {"heap": len(factors), "packing": 0}
+        assert spies == {"heap": len(factors)}
 
-    def test_thin_kac_combination_still_packs(self, spies):
+    def test_thin_kac_combination_divides_nothing(self, spies):
         out = thin_kac_combination(3, {(2, 1, 0): 1, (1, 0, -1): -2})
         assert not out.is_zero()
-        assert spies == {"heap": 0, "packing": 1}
+        assert spies == {"heap": 0}
