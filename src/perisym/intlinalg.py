@@ -83,15 +83,11 @@ def _gcd_pair(x: dict, y: dict, a: int, b: int) -> tuple[dict, dict]:
     return first, second
 
 
-def _join(occ: dict, heap: list, row, ci: int) -> None:
-    """Column ci gained an entry at row: add it to the row's set, and
-    push the row's count when the row enters the occupied set."""
-    s = occ.get(row)
-    if s is None:
-        occ[row] = {ci}
-        heapq.heappush(heap, (1, row))
-    else:
-        s.add(ci)
+def _join(occ: dict, row, ci: int) -> None:
+    """Column ci gained an entry at row: add it to the row's set, which
+    is never empty here (see :class:`EchelonSystem`).  A growing count
+    pushes nothing."""
+    occ[row].add(ci)
 
 
 def _leave(occ: dict, heap: list, row, ci: int) -> None:
@@ -117,12 +113,23 @@ class EchelonSystem:
     column operations, satisfies  A_original * V = A_echelon.
 
     The order comes from a lazy heap of (count, row) entries.  An entry
-    is pushed when a row enters the occupied set and whenever its count
+    is pushed for every row at the start and whenever a row's count
     falls, but not when it grows, so every occupied row keeps an entry
     whose key is at most (current count, row).  A popped entry whose
     count is out of date is pushed again with the current count; one
     that matches is the least occupied row, exactly as if every change
     had been pushed.
+
+    A row never enters the occupied set after the start, so no entry is
+    pushed for that.  Every row of a non-pivot column holds that column
+    in its set.  The divisible update adds rows of the pivot column, and
+    the gcd pair's new pivot column rows of the pivot and candidate
+    columns, so both add occupied rows only.  The pair's second column
+    may also take a row r of the old pivot column that the new pivot
+    column has just dropped.  r's set is empty then only if no column
+    but the candidates of the eliminated row held r at the step's start,
+    and the candidate being paired did not: then r had fewer columns
+    than that row, which the heap order rules out.
 
     V is not updated during the elimination.  Each column operation is
     logged instead: ``(c, p, q)`` for c += q p, ``(p, c, a, b)`` for the
@@ -184,7 +191,7 @@ class EchelonSystem:
                 log.append((c, pivot, q))
                 added, removed = _axpy(cols[c], src, q)
                 for r in added:
-                    _join(occ, heap, r, c)
+                    _join(occ, r, c)
                 for r in removed:
                     _leave(occ, heap, r, c)
             else:
@@ -202,7 +209,7 @@ class EchelonSystem:
         self.cols[ci] = new_col
         for row in new_col:
             if row not in old:
-                _join(occ, heap, row, ci)
+                _join(occ, row, ci)
         for row in old:
             if row not in new_col:
                 _leave(occ, heap, row, ci)

@@ -255,18 +255,19 @@ class LaurentPoly:
         return LaurentPoly._raw(self.arity, out)
 
     def is_symmetric(self) -> bool:
-        """True when invariant under every adjacent transposition
-        (equivalently, under the full symmetric group).  The work is
-        bounded by the terms, so a zero polynomial of any arity is
-        symmetric at once."""
-        terms = self.terms
-        for exps, coef in terms.items():
-            for k in range(self.arity - 1):
-                if exps[k] != exps[k + 1]:
-                    swapped = exps[:k] + (exps[k + 1], exps[k]) + exps[k + 2:]
-                    if terms.get(swapped, 0) != coef:
-                        return False
-        return True
+        """True when invariant under the full symmetric group.  It is
+        generated by the transposition of the first two variables and
+        the cycle through all of them, so each term is compared with its
+        two images.  A permutation g that maps every term w to a term with
+        the same coefficient fixes f: following w, g(w), g(g(w)), ... stays
+        among the terms and returns to w.  The work is bounded by the
+        terms, so a zero polynomial of any arity is symmetric at once."""
+        n, terms = self.arity, self.terms
+        if n < 2 or not terms:
+            return True
+        return all(all(map(operator.eq, map(terms.get, map(image, terms)), terms.values()))
+                   for image in (operator.itemgetter(*range(1, n), 0),
+                                 operator.itemgetter(1, 0, *range(2, n))))
 
     # -- pair substitution ----------------------------------------------
 

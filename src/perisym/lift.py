@@ -11,7 +11,11 @@ is factored once per window and reused across targets.
 
 ``certify`` repeats this construction down the rank chain, recording at
 each rank the chosen lift together with the thin-Kac coordinates of the
-kernel remainder.  Replaying the records reconstructs the input exactly.
+kernel remainder.  Replaying the records reconstructs the input exactly:
+a rank's element is summed in Schur coordinates, the lift's plus the
+Brauer-Klimyk tables of its kernel coordinates, and written as a
+polynomial once, and ``Certificate.validate`` checks its evaluation
+against the rank below.
 """
 
 from __future__ import annotations
@@ -23,11 +27,11 @@ import os
 from dataclasses import dataclass
 
 from . import intlinalg
-from .errors import ArityMismatch, NoIntegerSolution, WindowTooSmall
+from .errors import ArityMismatch, NoIntegerSolution, NotSymmetric, WindowTooSmall
 from .dsmap import _check_member, ds_eval
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
 from .schur import SchurExpansion
-from .thinkac import _thin_kac_coordinates, thin_kac_combination
+from .thinkac import _thin_kac_coordinates, _thin_kac_plus
 from .weights import Weight
 
 DEFAULT_MAX_WINDOW = 12
@@ -249,11 +253,20 @@ class CertificateLevel:
 
     def element(self) -> LaurentPoly:
         """The rank's element: the lift plus the kernel combination
-        sum_lam c_lam * sch_thin_kac(lam), replayed as one sum of the
-        Schur expansions of R s_lam (see :func:`thinkac.thin_kac_combination`)."""
-        return self.lift_part + thin_kac_combination(
-            self.kernel_coeffs.arity, self.kernel_coeffs.coeffs
-        )
+        sum_lam c_lam * sch_thin_kac(lam), summed in Schur coordinates and
+        written as a polynomial once (:func:`thinkac._thin_kac_plus`).
+
+        Raises ArityMismatch when the lift and the coordinates have
+        different arities, and ValueError naming the rank when the lift
+        is not symmetric; both before any Brauer-Klimyk table is read.
+        """
+        lift, kernel = self.lift_part, self.kernel_coeffs
+        if kernel.arity != lift.arity:
+            raise ArityMismatch(f"arity {lift.arity} vs {kernel.arity}")
+        try:
+            return _thin_kac_plus(lift, kernel.coeffs)
+        except NotSymmetric:
+            raise ValueError(f"the lift at rank {self.rank} is not symmetric") from None
 
 
 @dataclass(frozen=True)
@@ -273,7 +286,14 @@ class Certificate:
         return self.levels[0].element() if self.levels else self.bottom
 
     def validate(self) -> LaurentPoly:
-        """Reconstruct while checking the evaluation chain at every rank."""
+        """Reconstruct while checking the evaluation chain at every rank,
+        bottom-up: each level's element (:meth:`CertificateLevel.element`)
+        must evaluate (:func:`dsmap.ds_eval`) to the element below it.
+        Returns the top polynomial.  Raises ValueError naming the rank of
+        a broken link or of a lift that is not symmetric, and
+        ArityMismatch as :meth:`CertificateLevel.element` does.  The check
+        evaluates polynomials, so it does not rest on the peel that built
+        the certificate, although both read the Brauer-Klimyk tables."""
         value = self.bottom
         for level in reversed(self.levels):
             up = level.element()

@@ -13,6 +13,9 @@ the cached Brauer-Klimyk expansions of R * s_lam in Schur coordinates
 (:func:`_brauer_klimyk`), and neither multiplies nor divides by R: the
 first sums the tables of its weights and writes the sum once; the second
 peels the Schur coefficients of its input by them, one weight at a time.
+The first is the zero-base case of :func:`_thin_kac_plus`, which adds
+the tables to the Schur coefficients of a symmetric base, such as a
+certificate level's lift, before writing anything.
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ import operator
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import NotDivisible
+from .errors import NotDivisible, NotSymmetric
 from .intlinalg import _axpy
 from .laurent import LaurentPoly, _from_orbits, _read_only
 from .schur import (SchurExpansion, _WeightCombination, _schur_coefficients, _straightened,
@@ -53,21 +56,36 @@ def sch_thin_kac(lam: Iterable[int]) -> LaurentPoly:
 
 def thin_kac_combination(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPoly:
     """The polynomial sum_lam c_lam * sch_thin_kac(lam) for thin-Kac
-    coordinates ``coeffs`` in ``arity`` variables: R q for the Schur sum
-    q = sum_lam (-1)^parity(lam) c_lam s_lam, written once from the sum of
-    the Brauer-Klimyk tables of R s_lam (:func:`_brauer_klimyk`) weighted
-    by q; nothing is multiplied by R.  The coordinates are checked before
-    any table is read, as the tables are cached by lam alone, and a zero
-    sum is returned before the factors of R are built.
+    coordinates ``coeffs`` in ``arity`` variables: the zero-base case of
+    :func:`_thin_kac_plus`, so nothing is multiplied by R."""
+    return _thin_kac_plus(LaurentPoly.zero(arity), coeffs)
+
+
+def _thin_kac_plus(base: LaurentPoly, coeffs: Mapping[Weight, int]) -> LaurentPoly:
+    """base + sum_lam c_lam * sch_thin_kac(lam) for a symmetric base and
+    thin-Kac coordinates ``coeffs`` in its arity, written once.
+
+    The sum is R q for the Schur sum q = sum_lam (-1)^parity(lam) c_lam
+    s_lam, so its Schur coefficients are those of base
+    (:func:`schur._schur_coefficients`) plus the Brauer-Klimyk tables of
+    R s_lam (:func:`_brauer_klimyk`) weighted by q.  Only the weights
+    that survive that sum are written out as a polynomial.  Raises
+    NotSymmetric unless base is symmetric.  The coordinates and base are
+    checked before any table is read, as the tables are cached by lam
+    alone, and a zero q builds no factor of R.
     """
-    q = SchurExpansion(arity, _parity_signed(coeffs))
-    if arity < 2 or q.is_zero():  # R = 1, or nothing to multiply
-        return q.to_poly()
-    r_terms = _expanded(denominator_factors(arity)[0])
-    g: dict[Weight, int] = {}
-    for lam, c in q.coeffs.items():
-        _axpy(g, _brauer_klimyk(lam, r_terms), c)
-    return SchurExpansion(arity, g).to_poly()
+    n = base.arity
+    q = SchurExpansion(n, _parity_signed(coeffs))
+    if not base.is_symmetric():
+        raise NotSymmetric("not a symmetric Laurent polynomial")
+    g = _schur_coefficients(base)
+    if n < 2 or q.is_zero():  # R = 1, or nothing to multiply
+        _axpy(g, q.coeffs, 1)
+    else:
+        r_terms = _expanded(denominator_factors(n)[0])
+        for lam, c in q.coeffs.items():
+            _axpy(g, _brauer_klimyk(lam, r_terms), c)
+    return SchurExpansion(n, g).to_poly()
 
 
 def _thin_kac_coordinates(f: LaurentPoly) -> SchurExpansion:

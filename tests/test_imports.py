@@ -36,7 +36,7 @@ SOURCES = sorted(Path(perisym.__file__).parent.glob("**/*.py")) + sorted(
 
 def test_sources_are_listed():
     names = {path.name for path in SOURCES}
-    assert {"thinkac.py", "test_imports.py"} <= names
+    assert {"thinkac.py", "test_imports.py", "test_certificate_element.py"} <= names
 
 
 @pytest.mark.parametrize("path", SOURCES, ids=lambda path: f"{path.parent.name}/{path.name}")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -197,6 +198,28 @@ class TestSymmetry:
         for _ in range(20):
             mu = tuple(rng.randint(-3, 3) for _ in range(4))
             assert monomial_orbit_sum(4, mu).is_symmetric()
+
+    @settings(max_examples=80, deadline=None)
+    @given(st.integers(0, 4).flatmap(lambda n: st.tuples(
+        st.just(n),
+        st.dictionaries(st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+                        st.integers(-2, 2), max_size=3),
+        st.dictionaries(st.lists(st.integers(-2, 2), min_size=n, max_size=n).map(tuple),
+                        st.integers(-2, 2), max_size=2))))
+    @example((3, {}, {(2, 1, 0): 1, (1, 0, 2): 1, (0, 2, 1): 1}))  # cyclic only
+    @example((3, {}, {(1, 1, 0): 1}))  # fixed by swapping x1 and x2 only
+    @example((3, {(2, 1, 0): 1}, {(2, 1, 0): 1, (0, 1, 2): -1}))
+    @example((4, {(1, 1, 0, 0): 2, (2, 0, -1, -1): 1}, {}))
+    def test_agrees_with_every_permutation(self, case):
+        # Orbit sums plus a few stray terms; the reference applies every
+        # permutation of the variables.
+        n, orbits, stray = case
+        f = P(n, stray)
+        for mu, coef in orbits.items():
+            f = f + coef * monomial_orbit_sum(n, mu)
+        expected = all(util.permute_poly(f, perm) == f
+                       for perm in itertools.permutations(range(n)))
+        assert f.is_symmetric() == expected
 
     def test_orbit_sum_arity_check(self):
         with pytest.raises(ArityMismatch):
