@@ -17,9 +17,9 @@ import click
 from . import serialize
 from .dsmap import ds_power, kernel_decompose, membership
 from .errors import ArityMismatch, PerisymError
-from .euler import euler_characteristic
+from .euler import euler_characteristic, lift_euler
 from .laurent import LaurentPoly
-from .lift import certify, default_max_window, lift_window
+from .lift import LIFT_ROUTES, certify, default_max_window, lift_window
 from .schur import schur_poly
 from .thinkac import sch_thin_kac, theta_prime
 from .verify import ALL_CRITERIA, run_all
@@ -183,24 +183,33 @@ def theta(k, payload, pi_power):
 @click.option("--n", "n", type=int, required=True, help="target arity")
 @click.option("-h", "payload", required=True, help="target polynomial JSON")
 @click.option("--max-window", type=click.IntRange(min=0), default=None)
-def lift(n, payload, max_window):
+@click.option("--method", type=click.Choice(LIFT_ROUTES), default="window",
+              show_default=True, help="window search, or Euler-characteristic rounds")
+def lift(n, payload, max_window, method):
     """A supersymmetric preimage of the target under the evaluation map."""
     max_window = _max_window(max_window)
     target = _load_poly(payload)
     if target.arity != n - 2:
         raise ArityMismatch(f"target has arity {target.arity}, expected {n - 2}")
-    _emit(serialize.poly_to_dict(lift_window(target, max_window=max_window)))
+    if method == "euler":
+        preimage = lift_euler(target)
+    else:
+        preimage = lift_window(target, max_window=max_window)
+    _emit(serialize.poly_to_dict(preimage))
 
 
 @cli.command("certify")
 @click.option("--n", "n", type=int, required=True)
 @click.option("-f", "payload", required=True)
 @click.option("--max-window", type=click.IntRange(min=0), default=None)
-def certify_cmd(n, payload, max_window):
+@click.option("--lift", "route", type=click.Choice(LIFT_ROUTES), default="euler",
+              show_default=True,
+              help="lift route for non-diagonal targets; euler falls back to window")
+def certify_cmd(n, payload, max_window, route):
     """Peel-and-lift certificate of an element of J_n."""
     max_window = _max_window(max_window)
     poly = _load_poly(payload, n)
-    cert = certify(poly, max_window=max_window)
+    cert = certify(poly, max_window=max_window, lift=route)
     _emit(serialize.certificate_to_dict(cert))
 
 

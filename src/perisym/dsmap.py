@@ -117,14 +117,20 @@ def filtration_level(f: LaurentPoly) -> int:
     if not report.member:
         raise NotMember("filtration level is defined on J_n only",
                         witness=report.witness)
-    if f.is_zero():
-        return 0
-    out = f
-    for k in range(1, f.arity // 2 + 1):
-        out = ds_eval(out)
-        if out.is_zero():
-            return k
-    return f.arity // 2 + 1
+    return len(_nonzero_chain(f))
+
+
+def _nonzero_chain(f: LaurentPoly) -> list[LaurentPoly]:
+    """f, ds(f), ds^2(f), ... up to the last nonzero one, which lies in
+    the kernel or has arity 0 or 1; empty for f = 0.  Its length is the
+    filtration level of f, which is not checked for membership."""
+    chain = []
+    while not f.is_zero():
+        chain.append(f)
+        if f.arity < 2:
+            break
+        f = ds_eval(f)
+    return chain
 
 
 def quotient_reduce(f: LaurentPoly, which: Literal["sp", "SP"]) -> LaurentPoly:

@@ -53,3 +53,8 @@ class WindowTooSmall(PerisymError):
 class NoIntegerSolution(PerisymError):
     """The lift system is rationally solvable but has no integer solution
     within the search window."""
+
+
+class LiftStalled(PerisymError):
+    """A round of the Euler-characteristic lift left the filtration level
+    of its target where it was."""

@@ -22,6 +22,14 @@ divided by a_rho.  Its Schur coordinates are found by one of two routes.
 
 The result is symmetric, and supersymmetric when gamma is weakly
 decreasing.
+
+The elements E_k(mu) = Euler characteristic of ((0^2k, mu),
+(0^2k, -1, ..., -m)), m = n - 2k, give a lift through the evaluation
+map with no window and no linear system (:func:`lift_euler`): given
+the identity (A) ds^k E_k(mu) = R_m s_mu and (B) ds E_{k+1}(mu) =
+E_k(mu), a target of filtration level k + 1 is lowered one level by
+the E_{k+1}(mu) weighted with the Schur coordinates of ds^k(h) / R.
+Neither identity is assumed: every round is checked.
 """
 
 from __future__ import annotations
@@ -33,13 +41,14 @@ from dataclasses import dataclass
 from types import MappingProxyType
 from typing import Iterable, Mapping
 
-from .errors import ArityMismatch, LeviIncompatible
+from .errors import ArityMismatch, LeviIncompatible, LiftStalled
+from .intlinalg import _axpy
 from .laurent import LaurentPoly, straighten_alternant
 from .schur import (SchurExpansion, _alternant_coefficients, _straightened, denominator_factors,
                     schur_poly)
-from .thinkac import _brauer_klimyk, _expanded
-from .weights import Weight, rho
-from .dsmap import ds_power
+from .thinkac import _brauer_klimyk, _expanded, _parity_signed, _thin_kac_coordinates
+from .weights import Weight, check_dominant, rho
+from .dsmap import _check_member, _nonzero_chain, ds_eval, ds_power
 
 RootVector = tuple[int, ...]
 
@@ -238,3 +247,71 @@ def euler_ds_power(lam: Iterable[int], gamma: Iterable[int], k: int) -> LaurentP
     and :class:`ArityMismatch` unless 0 <= k <= n // 2.
     """
     return ds_power(_expansion(lam, gamma).to_poly(), k)
+
+
+def euler_lift_element(n: int, k: int, mu: Iterable[int]) -> Mapping[Weight, int]:
+    """The Schur coefficients of E_k(mu) at rank n: the Euler
+    characteristic for lam = (0^2k, mu) and gamma = (0^2k, -1, ..., -m),
+    where m = n - 2k is the length of the dominant weight mu.
+
+    Given identity (A), ds^k E_k(mu) = R_m s_mu (x^mu at m = 1, 1 at
+    m = 0), so these elements lift the Schur coordinates of ds^k(h) / R
+    (:func:`lift_euler`).  Raises NotDominant unless mu is weakly
+    decreasing, and ArityMismatch unless k >= 0 and 2k + m = n.  Cached by
+    (k, mu), read-only.
+    """
+    mu = check_dominant(mu)
+    if k < 0 or 2 * k + len(mu) != n:
+        raise ArityMismatch(f"E_{k}{mu} has no rank {n}")
+    return _euler_lift_element(k, mu)
+
+
+@functools.cache
+def _euler_lift_element(k: int, mu: Weight) -> Mapping[Weight, int]:
+    zeros = (0,) * (2 * k)
+    gamma = zeros + tuple(range(-1, -len(mu) - 1, -1))
+    return MappingProxyType(_expansion(zeros + mu, gamma).coeffs)
+
+
+def lift_euler(h: LaurentPoly) -> LaurentPoly:
+    """A supersymmetric preimage of ``h`` in J_{n-2} under the evaluation
+    map, summed from the elements E_k(mu) (:func:`euler_lift_element`),
+    with no window and no linear system.
+
+    Each round reads the filtration level L of h from one evaluation
+    chain, so that ds^(L-1)(h) is nonzero and lies in the kernel (or has
+    arity 0 or 1), and sets k = L - 1.  The Schur coordinates d of
+    ds^k(h) / R are its thin-Kac coordinates with the parity sign undone
+    (the Schur coefficients themselves at arity 0 or 1, where R = 1).
+    The round adds X = sum_mu d_mu E_{k+1}(mu), written once from its
+    summed Schur coordinates, to the lift, and sets h to the target minus
+    the evaluation of the lift.  Given identities (A) and (B),
+    ds^(k+1)(X) = ds^k(h), so the level drops every round and the lift
+    is done in at most (n - 2) // 2 + 1 rounds, when h is zero, which is
+    the postcondition ``ds_eval(lift) == h``.  Neither identity is
+    assumed: a round that leaves the level where it was raises
+    :class:`LiftStalled`, naming the round and the level.
+
+    Raises NotSymmetric or NotMember unless h lies in J_{n-2}.
+    """
+    _check_member(h)
+    return _lift_euler(h)
+
+
+def _lift_euler(h: LaurentPoly) -> LaurentPoly:
+    """:func:`lift_euler` for an h already known to lie in J_{n-2}."""
+    n = h.arity + 2
+    lift, residual, level = LaurentPoly.zero(n), h, None
+    for round_ in itertools.count(1):
+        chain = _nonzero_chain(residual)
+        if level is not None and len(chain) >= level:
+            raise LiftStalled(f"round {round_ - 1} left the filtration level at "
+                              f"{len(chain)}, not below {level}")
+        level = len(chain)
+        if not level:
+            return lift
+        coeffs: dict[Weight, int] = {}
+        for mu, d in _parity_signed(_thin_kac_coordinates(chain[-1]).coeffs).items():
+            _axpy(coeffs, euler_lift_element(n, level, mu), d)
+        lift = lift + SchurExpansion(n, coeffs).to_poly()
+        residual = h - ds_eval(lift)

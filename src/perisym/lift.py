@@ -7,15 +7,19 @@ a supersymmetric preimage in ``n`` variables whose evaluation is exactly
 monomial orbit sums inside an exponent window are solved for as a sparse
 integer linear system (t-dependent slice coefficients must vanish, the
 t-free part must equal ``h``), using a Hermite-style column echelon that
-is factored once per window and reused across targets.
+is factored once per window and reused across targets.  The window
+route stays as the reference lift; :func:`euler.lift_euler` needs no
+window.
 
-``certify`` repeats this construction down the rank chain, recording at
-each rank the chosen lift together with the thin-Kac coordinates of the
-kernel remainder.  Replaying the records reconstructs the input exactly:
-a rank's element is summed in Schur coordinates, the lift's plus the
-Brauer-Klimyk tables of its kernel coordinates, and written as a
-polynomial once, and ``Certificate.validate`` checks its evaluation
-against the rank below.
+``certify`` repeats a lift down the rank chain, recording at each rank
+the chosen lift together with the thin-Kac coordinates of the kernel
+remainder.  By default a non-diagonal target is lifted by
+:func:`euler.lift_euler`, falling back to the window search when a round
+of it stalls; ``lift="window"`` searches windows at every rank.
+Replaying the records reconstructs the input exactly: a rank's element
+is summed in Schur coordinates, the lift's plus the Brauer-Klimyk tables
+of its kernel coordinates, and written as a polynomial once, and
+``Certificate.validate`` checks its evaluation against the rank below.
 """
 
 from __future__ import annotations
@@ -27,8 +31,10 @@ import os
 from dataclasses import dataclass
 
 from . import intlinalg
-from .errors import ArityMismatch, NoIntegerSolution, NotSymmetric, WindowTooSmall
+from .errors import (ArityMismatch, LiftStalled, NoIntegerSolution, NotMember, NotSymmetric,
+                     WindowTooSmall)
 from .dsmap import _check_member, ds_eval
+from .euler import _lift_euler
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
 from .schur import SchurExpansion
 from .thinkac import _thin_kac_coordinates, _thin_kac_plus
@@ -242,6 +248,10 @@ def _lift(h: LaurentPoly, window: Window | None, max_window: int | None) -> Laur
     raise error("; ".join(tried))
 
 
+class _RankMismatch(ArityMismatch, ValueError):
+    """A certificate level whose polynomials do not have its rank as arity."""
+
+
 @dataclass(frozen=True)
 class CertificateLevel:
     """One rank of a certificate: the chosen lift of the next element
@@ -287,15 +297,27 @@ class Certificate:
 
     def validate(self) -> LaurentPoly:
         """Reconstruct while checking the evaluation chain at every rank,
-        bottom-up: each level's element (:meth:`CertificateLevel.element`)
-        must evaluate (:func:`dsmap.ds_eval`) to the element below it.
-        Returns the top polynomial.  Raises ValueError naming the rank of
-        a broken link or of a lift that is not symmetric, and
-        ArityMismatch as :meth:`CertificateLevel.element` does.  The check
-        evaluates polynomials, so it does not rest on the peel that built
-        the certificate, although both read the Brauer-Klimyk tables."""
+        bottom-up: the ranks must step down by 2 to the arity of
+        ``bottom``, each level's lift and kernel coordinates must have its
+        rank as arity, and each level's element
+        (:meth:`CertificateLevel.element`) must evaluate
+        (:func:`dsmap.ds_eval`) to the element below it.  Returns the top
+        polynomial.  Raises ValueError naming the rank of a level out of
+        step, of a broken link or of a lift that is not symmetric; an
+        arity other than the rank raises a ValueError that is also an
+        ArityMismatch, as :meth:`CertificateLevel.element` raises for
+        the same record.  The check evaluates polynomials, so it does not
+        rest on the peel that built the certificate, although both read
+        the Brauer-Klimyk tables."""
         value = self.bottom
         for level in reversed(self.levels):
+            if level.rank != value.arity + 2:
+                raise ValueError(f"rank {level.rank} does not step down by 2 to "
+                                 f"arity {value.arity} below it")
+            if level.rank != level.lift_part.arity or level.rank != level.kernel_coeffs.arity:
+                raise _RankMismatch(
+                    f"rank {level.rank} holds a lift of arity {level.lift_part.arity} and "
+                    f"kernel coordinates of arity {level.kernel_coeffs.arity}")
             up = level.element()
             if ds_eval(up) != value:
                 raise ValueError(f"broken certificate chain at rank {level.rank}")
@@ -303,26 +325,41 @@ class Certificate:
         return value
 
 
-def certify(f: LaurentPoly, *, max_window: int | None = None) -> Certificate:
+LIFT_ROUTES = ("euler", "window")
+
+
+def certify(f: LaurentPoly, *, max_window: int | None = None,
+            lift: str = "euler") -> Certificate:
     """Peel-and-lift certificate for an element of J_n.
 
     At each rank the evaluation image is certified first, then lifted
     back; the remainder lies in the kernel and is decomposed over thin-Kac
     supercharacters.  The certificate reconstructs ``f`` exactly.
 
+    ``lift`` picks the route for targets that are not diagonal:
+    ``"euler"`` (the default) lifts through :func:`euler.lift_euler` and
+    falls back to the window search at a rank where a round leaves the
+    level where it was (:class:`LiftStalled`) or the lift leaves J_n
+    (:class:`NotMember`), as would happen if an identity behind the Euler
+    route failed; ``"window"`` searches windows at every rank, so
+    ``max_window`` and :class:`WindowTooSmall` bear on the Euler route
+    only through that fallback.  Raises ValueError for any other route.
+
     Only ``f`` is checked for membership.  The images, lift targets and
     remainders below it are in J by construction, so they are not checked
-    again; the lift postcondition still is, and so is the divisibility
-    of each remainder by R, which fails unless its evaluation vanishes:
-    the thin-Kac peel (:func:`thinkac._thin_kac_coordinates`) raises
-    NotDivisible on a symmetric remainder exactly when R does not divide
-    it.
+    again; the lift postcondition ``ds_eval(lift) == h`` still is, and so
+    is the divisibility of each remainder by R, which fails unless its
+    evaluation vanishes: the thin-Kac peel
+    (:func:`thinkac._thin_kac_coordinates`) raises NotDivisible on a
+    symmetric remainder exactly when R does not divide it.
     """
+    if lift not in LIFT_ROUTES:
+        raise ValueError(f"unknown lift route {lift!r}; expected one of {LIFT_ROUTES}")
     _check_member(f)
-    return _certify(f, max_window)
+    return _certify(f, max_window, lift)
 
 
-def _certify(f: LaurentPoly, max_window: int | None) -> Certificate:
+def _certify(f: LaurentPoly, max_window: int | None, route: str) -> Certificate:
     """Walk the rank chain in two loops: every evaluation image top-down,
     then the lifts and kernel coordinates bottom-up."""
     chain = [f]
@@ -330,10 +367,22 @@ def _certify(f: LaurentPoly, max_window: int | None) -> Certificate:
         chain.append(ds_eval(chain[-1]))
     levels = []
     for upper, h in reversed(list(zip(chain, chain[1:]))):
-        lift_part = _lift(h, None, max_window)
+        lift_part = _certify_lift(h, max_window, route)
         levels.append(CertificateLevel(upper.arity, lift_part,
                                        _thin_kac_coordinates(upper - lift_part)))
     return Certificate(tuple(reversed(levels)), chain[-1])
+
+
+def _certify_lift(h: LaurentPoly, max_window: int | None, route: str) -> LaurentPoly:
+    """A certificate level's lift of h: the Euler lift for a target that
+    is not diagonal on the Euler route, else (or when it stalls) the
+    window lift, which lifts a diagonal target directly."""
+    if route == "euler" and _diagonal_lift(h, h.arity + 2) is None:
+        try:
+            return _lift_euler(h)
+        except (LiftStalled, NotMember):
+            pass
+    return _lift(h, None, max_window)
 
 
 @functools.cache

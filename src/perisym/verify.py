@@ -267,6 +267,26 @@ def criterion_8_quotient_reductions() -> str:
     return f"{checked} random symmetric inputs"
 
 
+@_criterion(9, "Euler lift identity (A)")
+def criterion_9_euler_lift_identity() -> str:
+    """ds^k E_k(mu) = R_m s_mu for E_k(mu) the Euler characteristic of
+    ((0^2k, mu), (0^2k, -1, ..., -m)), m = n - 2k, against the bialternant
+    oracle: the identity behind ``lift_euler``."""
+    rng = random.Random(20260811)
+    checked = 0
+    for n in range(2, 7):
+        for k in range(1, n // 2 + 1):
+            m = n - 2 * k
+            gamma = (0,) * (2 * k) + tuple(range(-1, -m - 1, -1))
+            for _ in range(3):
+                mu = tuple(sorted((rng.randint(-2, 2) for _ in range(m)), reverse=True))
+                image = ds_power(euler_characteristic((0,) * (2 * k) + mu, gamma)[0], k)
+                if image != denominators(m)[0] * schur_bialternant_oracle(mu):
+                    raise _Mismatch(f"mismatch at n={n} k={k} mu={mu}")
+                checked += 1
+    return f"{checked} (n,k,mu) triples exact"
+
+
 ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_1_thin_kac_formula,
     criterion_2_kernel_theorem,
@@ -276,6 +296,7 @@ ALL_CRITERIA: tuple[Callable[[], CriterionResult], ...] = (
     criterion_6_homomorphism,
     criterion_7_denominator_identity,
     criterion_8_quotient_reductions,
+    criterion_9_euler_lift_identity,
 )
 
 

@@ -43,6 +43,10 @@ def test_criterion_8_quotient_reductions():
     _check(verify.criterion_8_quotient_reductions)
 
 
+def test_criterion_9_euler_lift_identity():
+    _check(verify.criterion_9_euler_lift_identity)
+
+
 class TestFailureExits:
     """A criterion's own failure exit reports its number, name and the
     detail of its first mismatch."""

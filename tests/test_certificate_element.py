@@ -139,3 +139,37 @@ class TestNonSymmetricLift:
         with pytest.raises(ValueError, match=f"lift at rank {n} is not symmetric"):
             Certificate(tuple(levels), cert.bottom).validate()
         assert cert.validate() == f
+
+
+class TestRanks:
+    """``validate`` checks each level's rank against the arities of its
+    polynomials and against the level below, before any table is read."""
+
+    def test_rank_above_the_arity_of_its_polynomials(self):
+        cert = Certificate((CertificateLevel(7, LaurentPoly.one(2), SchurExpansion(2)),),
+                           LaurentPoly.one(0))
+        assert cert.top_rank() == 7
+        with pytest.raises(ValueError, match="rank 7"):
+            cert.validate()
+
+    @pytest.mark.parametrize("lift_arity, coords_arity", [(2, 4), (4, 2), (4, 3)])
+    def test_polynomials_of_another_arity(self, lift_arity, coords_arity):
+        level = CertificateLevel(4, LaurentPoly.one(lift_arity), SchurExpansion(coords_arity))
+        cert = Certificate((level,), LaurentPoly.one(2))
+        with pytest.raises(ValueError, match="rank 4"):
+            cert.validate()
+        with pytest.raises(ArityMismatch):
+            cert.validate()
+
+    def test_ranks_must_step_down_by_two(self):
+        low = CertificateLevel(2, LaurentPoly.one(2), SchurExpansion(2))
+        high = CertificateLevel(6, LaurentPoly.one(6), SchurExpansion(6))
+        with pytest.raises(ValueError, match="rank 6 does not step down"):
+            Certificate((high, low), LaurentPoly.one(0)).validate()
+        with pytest.raises(ValueError, match="rank 2 does not step down"):
+            Certificate((low,), LaurentPoly.one(1)).validate()
+
+    def test_a_certificate_in_step_validates(self):
+        low = CertificateLevel(2, LaurentPoly.one(2), SchurExpansion(2))
+        high = CertificateLevel(4, LaurentPoly.one(4), SchurExpansion(4))
+        assert Certificate((high, low), LaurentPoly.one(0)).validate() == LaurentPoly.one(4)

@@ -318,7 +318,7 @@ class TestInputBoundary:
         ("", "bad --criteria"),
         ("x", "bad --criteria"),
         ("1,,2", "bad --criteria"),
-        ("9", "unknown criterion numbers [9]"),
+        ("10", "unknown criterion numbers [10]"),
         ("0,7", "unknown criterion numbers [0]"),
     ])
     def test_verify_suite_bad_criteria(self, capsys, criteria, message):

@@ -92,7 +92,7 @@ def test_certificates_of_rank_four_members():
         f = window_member(rng, 4, 2)
         if not f.is_zero():
             members.append(f)
-    certs = [certify(f) for f in members]
+    certs = [certify(f, lift="window") for f in members]
     assert all(cert.validate() == f for cert, f in zip(certs, members))
     assert digest([serialize.certificate_to_dict(c) for c in certs]) == (
         "e43bf59b369985399251468b655a4945bd169f3f5635796bca19e659f82f876e")
@@ -139,5 +139,28 @@ def test_cli_theta_stdout():
 def test_cli_certify_stdout():
     f = sch_thin_kac((1, 0, 0, 0)) + sch_standard(4) - 2
     payload = json.dumps(serialize.poly_to_dict(f))
-    assert cli_stdout_digest("certify", "--n", "4", "-f", payload) == (
+    assert cli_stdout_digest("certify", "--n", "4", "--lift", "window", "-f", payload) == (
         "506caaebe96edf5407a837f7d7e4a31f4b8f9fff89c5326de0f8d54acea13139")
+
+
+def test_euler_certificates_of_rank_four_members():
+    """The default route's certificates of the members above."""
+    rng = random.Random("pinned-certify")
+    members = []
+    while len(members) < 5:
+        f = window_member(rng, 4, 2)
+        if not f.is_zero():
+            members.append(f)
+    certs = [certify(f) for f in members]
+    assert certs == [certify(f, lift="euler") for f in members]
+    assert all(cert.validate() == f for cert, f in zip(certs, members))
+    assert digest([serialize.certificate_to_dict(c) for c in certs]) == (
+        "2591807503c91cf1827e1df830775cda0d756fe11b95447c2fedbf4bdfe7e391")
+
+
+def test_cli_certify_default_stdout():
+    f = sch_thin_kac((1, 0, 0, 0)) + sch_standard(4) - 2
+    payload = json.dumps(serialize.poly_to_dict(f))
+    expected = "b7ecc17e1b7a9cef62969df676b3210ac1c42fb6865d357a763843a80bcc0bec"
+    assert cli_stdout_digest("certify", "--n", "4", "-f", payload) == expected
+    assert cli_stdout_digest("certify", "--n", "4", "--lift", "euler", "-f", payload) == expected
