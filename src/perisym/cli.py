@@ -15,11 +15,11 @@ import sys
 import click
 
 from . import serialize
-from .dsmap import ds_power, kernel_decompose, membership
+from .dsmap import _check_member, ds_power, kernel_decompose, membership
 from .errors import ArityMismatch, PerisymError
-from .euler import euler_characteristic, lift_euler
+from .euler import euler_characteristic
 from .laurent import LaurentPoly
-from .lift import LIFT_ROUTES, certify, default_max_window, lift_window
+from .lift import LIFT_ROUTES, _route_lift, certify, default_max_window
 from .schur import schur_poly
 from .thinkac import sch_thin_kac, theta_prime
 from .verify import ALL_CRITERIA, run_all
@@ -182,20 +182,24 @@ def theta(k, payload, pi_power):
 @cli.command()
 @click.option("--n", "n", type=int, required=True, help="target arity")
 @click.option("-h", "payload", required=True, help="target polynomial JSON")
-@click.option("--max-window", type=click.IntRange(min=0), default=None)
-@click.option("--method", type=click.Choice(LIFT_ROUTES), default="window",
-              show_default=True, help="window search, or Euler-characteristic rounds")
+@click.option("--max-window", type=click.IntRange(min=0), default=None,
+              help="window search cap, on the window route and the euler fallback")
+@click.option("--method", type=click.Choice(LIFT_ROUTES), default="euler", show_default=True,
+              help="route for non-diagonal targets; euler falls back to window")
 def lift(n, payload, max_window, method):
-    """A supersymmetric preimage of the target under the evaluation map."""
+    """A supersymmetric preimage of the target under the evaluation map.
+
+    The lift is the one a level of certify takes: the direct lift of
+    a diagonal target; otherwise Euler-characteristic rounds, falling back
+    to the window search where a round stalls, or the window search alone
+    with --method window (the output of earlier versions).
+    """
     max_window = _max_window(max_window)
     target = _load_poly(payload)
     if target.arity != n - 2:
         raise ArityMismatch(f"target has arity {target.arity}, expected {n - 2}")
-    if method == "euler":
-        preimage = lift_euler(target)
-    else:
-        preimage = lift_window(target, max_window=max_window)
-    _emit(serialize.poly_to_dict(preimage))
+    _check_member(target)
+    _emit(serialize.poly_to_dict(_route_lift(target, max_window, method)))
 
 
 @cli.command("certify")

@@ -13,9 +13,10 @@ window.
 
 ``certify`` repeats a lift down the rank chain, recording at each rank
 the chosen lift together with the thin-Kac coordinates of the kernel
-remainder.  By default a non-diagonal target is lifted by
+remainder.  Its lifts and those of ``perisym lift`` take one route
+(:func:`_route_lift`): by default a non-diagonal target is lifted by
 :func:`euler.lift_euler`, falling back to the window search when a round
-of it stalls; ``lift="window"`` searches windows at every rank.
+of it stalls; the ``"window"`` route searches windows for every target.
 Replaying the records reconstructs the input exactly: a rank's element
 is summed in Schur coordinates, the lift's plus the Brauer-Klimyk tables
 of its kernel coordinates, and written as a polynomial once, and
@@ -367,16 +368,17 @@ def _certify(f: LaurentPoly, max_window: int | None, route: str) -> Certificate:
         chain.append(ds_eval(chain[-1]))
     levels = []
     for upper, h in reversed(list(zip(chain, chain[1:]))):
-        lift_part = _certify_lift(h, max_window, route)
+        lift_part = _route_lift(h, max_window, route)
         levels.append(CertificateLevel(upper.arity, lift_part,
                                        _thin_kac_coordinates(upper - lift_part)))
     return Certificate(tuple(reversed(levels)), chain[-1])
 
 
-def _certify_lift(h: LaurentPoly, max_window: int | None, route: str) -> LaurentPoly:
-    """A certificate level's lift of h: the Euler lift for a target that
-    is not diagonal on the Euler route, else (or when it stalls) the
-    window lift, which lifts a diagonal target directly."""
+def _route_lift(h: LaurentPoly, max_window: int | None, route: str) -> LaurentPoly:
+    """The lift of an h known to lie in J_{n-2}, as a certificate level
+    and ``perisym lift`` take it: the Euler lift for a target that is not
+    diagonal on the Euler route, else (or when it stalls) the window
+    lift, which lifts a diagonal target directly."""
     if route == "euler" and _diagonal_lift(h, h.arity + 2) is None:
         try:
             return _lift_euler(h)

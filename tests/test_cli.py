@@ -336,6 +336,15 @@ class TestLiftRegressions:
         assert code == 0
         assert ds_eval(serialize.poly_from_dict(data)) == h
 
+    def test_lift_from_window_five_at_rank_four_on_the_window_route(self, capsys):
+        # The same target through the window search, which reduces its
+        # Window(5) lift by the kernel lattice.
+        h = LaurentPoly(2, {(1, 0): -1, (0, 1): -1, (0, -1): 1, (-1, 0): 1})
+        payload = json.dumps(serialize.poly_to_dict(h))
+        code, data = run_json(capsys, "lift", "--n", "4", "--method", "window", "-h", payload)
+        assert code == 0
+        assert ds_eval(serialize.poly_from_dict(data)) == h
+
 
 class TestWindowCap:
     TARGET = json.dumps(serialize.poly_to_dict(sch_thin_kac((1, 0))))
@@ -351,7 +360,8 @@ class TestWindowCap:
 
         built = []
         monkeypatch.setattr(lift_module, "_window_system", lambda *args: built.append(args))
-        code, data = run_json(capsys, "lift", "--n", "4", "-h", self.TARGET, "--max-window", "0")
+        code, data = run_json(capsys, "lift", "--n", "4", "-h", self.TARGET, "--max-window", "0",
+                              "--method", "window")
         assert code == 2
         assert data["error"] == "WindowTooSmall"
         assert "max_window=0" in data["message"]

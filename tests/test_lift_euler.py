@@ -20,8 +20,9 @@ from hypothesis import given, settings, strategies as st
 
 from perisym import (LaurentPoly, LiftStalled, SchurExpansion, certify, denominators, ds_eval,
                      ds_power, euler, euler_characteristic, euler_lift_element,
-                     filtration_level, lift, lift_euler, lift_window, membership,
+                     filtration_level, intlinalg, lift, lift_euler, lift_window, membership,
                      membership_window_basis, serialize)
+from perisym.cli import main
 from perisym.errors import ArityMismatch, NotDominant, NotMember
 from perisym.verify import schur_bialternant_oracle
 
@@ -160,6 +161,36 @@ def test_cli_lift_methods():
     code, out = run_cli_limited("lift", "--n", "4", "--method", "euler", "-h", payload)
     assert code == 0
     assert serialize.poly_from_dict(json.loads(out)) == lift_euler(h)
-    code, out = run_cli_limited("lift", "--n", "4", "-h", payload)
+    code, out = run_cli_limited("lift", "--n", "4", "--method", "window", "-h", payload)
     assert code == 0
     assert serialize.poly_from_dict(json.loads(out)) == lift_window(h)
+
+
+@pytest.mark.parametrize("error", [LiftStalled, NotMember])
+def test_cli_lift_falls_back_to_the_window_lift(monkeypatch, capsys, error):
+    def stall(h):
+        raise error("round 1")
+
+    payload = json.dumps(serialize.poly_to_dict(seeded_member(2, 3)))
+    assert main(["lift", "--n", "4", "--method", "window", "-h", payload]) == 0
+    window_out = capsys.readouterr().out
+    monkeypatch.setattr(lift, "_lift_euler", stall)
+    assert main(["lift", "--n", "4", "-h", payload]) == 0
+    assert capsys.readouterr().out == window_out
+
+
+@pytest.mark.parametrize("n, seed", [(5, 1), (5, 2), (6, 1), (6, 2)])
+def test_default_cli_lift_builds_no_window_system(monkeypatch, capsys, n, seed):
+    h = seeded_member(n - 2, seed)
+    assert lift._diagonal_lift(h, n) is None
+    payload = json.dumps(serialize.poly_to_dict(h))
+    built = []
+    monkeypatch.setattr(lift, "_window_system", lambda *args: built.append(args))
+    monkeypatch.setattr(intlinalg, "EchelonSystem", lambda *args: built.append(args))
+    assert main(["lift", "--n", str(n), "-h", payload]) == 0
+    out = capsys.readouterr().out
+    assert built == []
+    assert ds_eval(serialize.poly_from_dict(json.loads(out))) == h
+    code, limited_out = run_cli_limited("lift", "--n", str(n), "-h", payload)
+    assert code == 0
+    assert limited_out == out

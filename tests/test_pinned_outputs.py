@@ -164,3 +164,34 @@ def test_cli_certify_default_stdout():
     expected = "b7ecc17e1b7a9cef62969df676b3210ac1c42fb6865d357a763843a80bcc0bec"
     assert cli_stdout_digest("certify", "--n", "4", "-f", payload) == expected
     assert cli_stdout_digest("certify", "--n", "4", "--lift", "euler", "-f", payload) == expected
+
+
+def lift_stdout_digest(*options: str) -> str:
+    """Digest of the ``perisym lift --n 4`` stdout digests, one process per
+    seeded J_2 target: four whose window search starts at Window(6) and
+    one at Window(5)."""
+    targets = lift_targets("pinned-lift-6", 4, 2, 2) + lift_targets("pinned-lift-5", 1, 1, 1)
+    return digest([cli_stdout_digest("lift", "--n", "4", *options, "-h",
+                                     json.dumps(serialize.poly_to_dict(h)))
+                   for h in targets])
+
+
+def test_cli_lift_window_stdout():
+    """Recorded with no flag before the Euler route became the default."""
+    assert lift_stdout_digest("--method", "window") == (
+        "151f508e00fc4d1842497b27695fa34d22118f4415d2b8a2c80fafe3406b7f77")
+
+
+def test_cli_lift_default_stdout():
+    expected = "abbcf6eab66b5f301d62dfb335b338a70e5841a4bb17864e8e907754762b194c"
+    assert lift_stdout_digest() == expected
+    assert lift_stdout_digest("--method", "euler") == expected
+
+
+def test_cli_lift_diagonal_stdout_on_every_route():
+    """A diagonal target takes the direct lift on both routes."""
+    h = LaurentPoly(2, {(2, 2): 3, (0, 0): -1, (-1, -1): 2})
+    payload = json.dumps(serialize.poly_to_dict(h))
+    expected = "07459a3e31835bc97babcf92e389b084fe8074c3c05a15f83fa13ce32da2c468"
+    for options in ((), ("--method", "euler"), ("--method", "window")):
+        assert cli_stdout_digest("lift", "--n", "4", *options, "-h", payload) == expected
