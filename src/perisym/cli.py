@@ -199,7 +199,7 @@ def lift(n, payload, max_window, method):
     if target.arity != n - 2:
         raise ArityMismatch(f"target has arity {target.arity}, expected {n - 2}")
     _check_member(target)
-    _emit(serialize.poly_to_dict(_route_lift(target, max_window, method)))
+    _emit(serialize.poly_to_dict(_route_lift(target, max_window, method)[0]))
 
 
 @cli.command("certify")

@@ -39,13 +39,18 @@ def membership(f: LaurentPoly) -> MembershipReport:
     """Test membership of f in J_n.
 
     Checks S_n-invariance, then t-independence of the slice at the pair
-    (1, 2); by symmetry any other pair gives the same answer.  Rings with
-    fewer than two variables have no pair condition.
+    (1, 2).  A symmetric f is sliced at the evaluation pair (n - 1, n)
+    instead, whose rest is a prefix: a permutation of the variables
+    carries one slice's terms onto the other's, so the report and its
+    witness are the same.  Rings with fewer than two variables have no
+    pair condition.
     """
+    n = f.arity
     symmetric = f.is_symmetric()
-    if f.arity < 2:
+    if n < 2:
         return MembershipReport(symmetric, True, None)
-    witness = f.substitute_pair(1, 2).t_witness()
+    pair = (n - 1, n) if symmetric else (1, 2)
+    witness = f.substitute_pair(*pair).t_witness()
     return MembershipReport(symmetric, witness is None, witness)
 
 

@@ -44,9 +44,9 @@ from typing import Iterable, Mapping
 from .errors import ArityMismatch, LeviIncompatible, LiftStalled
 from .intlinalg import _axpy
 from .laurent import LaurentPoly, straighten_alternant
-from .schur import (SchurExpansion, _alternant_coefficients, _straightened, denominator_factors,
-                    schur_poly)
-from .thinkac import _brauer_klimyk, _expanded, _parity_signed, _thin_kac_coordinates
+from .schur import (SchurExpansion, _alternant_coefficients, _from_schur, _schur_coefficients,
+                    _straightened, denominator_factors, schur_poly)
+from .thinkac import _brauer_klimyk, _expanded, _peel
 from .weights import Weight, check_dominant, rho
 from .dsmap import _check_member, _nonzero_chain, ds_eval, ds_power
 
@@ -278,30 +278,36 @@ def lift_euler(h: LaurentPoly) -> LaurentPoly:
     map, summed from the elements E_k(mu) (:func:`euler_lift_element`),
     with no window and no linear system.
 
-    Each round reads the filtration level L of h from one evaluation
-    chain, so that ds^(L-1)(h) is nonzero and lies in the kernel (or has
-    arity 0 or 1), and sets k = L - 1.  The Schur coordinates d of
-    ds^k(h) / R are its thin-Kac coordinates with the parity sign undone
-    (the Schur coefficients themselves at arity 0 or 1, where R = 1).
-    The round adds X = sum_mu d_mu E_{k+1}(mu), written once from its
-    summed Schur coordinates, to the lift, and sets h to the target minus
-    the evaluation of the lift.  Given identities (A) and (B),
-    ds^(k+1)(X) = ds^k(h), so the level drops every round and the lift
-    is done in at most (n - 2) // 2 + 1 rounds, when h is zero, which is
-    the postcondition ``ds_eval(lift) == h``.  Neither identity is
-    assumed: a round that leaves the level where it was raises
-    :class:`LiftStalled`, naming the round and the level.
+    Each round reads the filtration level L of its target, first h, from
+    one evaluation chain, so that ds^(L-1) of it is nonzero and lies in
+    the kernel (or has arity 0 or 1), and sets k = L - 1.  The Schur
+    coordinates d of ds^k(target) / R are peeled from its Schur
+    coefficients (:func:`thinkac._peel`; at arity 0 or 1, where R = 1,
+    they are the Schur coefficients themselves).  The round's part
+    X = sum_mu d_mu E_{k+1}(mu) is written once from its summed Schur
+    coordinates and added to the lift, and the next target is this one
+    minus the evaluation of X alone, never of the lift summed so far.
+    Given identities (A) and (B), ds^(k+1)(X) = ds^k(target), so the
+    level drops every round and the lift is done in at most
+    (n - 2) // 2 + 1 rounds, when the target is zero; as ds is linear,
+    that target is h - ds(lift), which is the postcondition
+    ``ds_eval(lift) == h``.  Neither identity is assumed: a round that
+    leaves the level where it was raises :class:`LiftStalled`, naming the
+    round and the level.
 
     Raises NotSymmetric or NotMember unless h lies in J_{n-2}.
     """
     _check_member(h)
-    return _lift_euler(h)
+    return _lift_euler(h)[0]
 
 
-def _lift_euler(h: LaurentPoly) -> LaurentPoly:
-    """:func:`lift_euler` for an h already known to lie in J_{n-2}."""
+def _lift_euler(h: LaurentPoly) -> tuple[LaurentPoly, dict[Weight, int]]:
+    """:func:`lift_euler` for an h already known to lie in J_{n-2},
+    returned with the lift's nonzero Schur coefficients, summed round by
+    round.  The lift is added into each round's part, the larger one
+    from the second round on."""
     n = h.arity + 2
-    lift, residual, level = LaurentPoly.zero(n), h, None
+    lift, coords, residual, level = LaurentPoly.zero(n), {}, h, None
     for round_ in itertools.count(1):
         chain = _nonzero_chain(residual)
         if level is not None and len(chain) >= level:
@@ -309,9 +315,12 @@ def _lift_euler(h: LaurentPoly) -> LaurentPoly:
                               f"{len(chain)}, not below {level}")
         level = len(chain)
         if not level:
-            return lift
-        coeffs: dict[Weight, int] = {}
-        for mu, d in _parity_signed(_thin_kac_coordinates(chain[-1]).coeffs).items():
-            _axpy(coeffs, euler_lift_element(n, level, mu), d)
-        lift = lift + SchurExpansion(n, coeffs).to_poly()
-        residual = h - ds_eval(lift)
+            return lift, coords
+        bottom = chain[-1]
+        part_coords: dict[Weight, int] = {}
+        for mu, d in _peel(bottom.arity, _schur_coefficients(bottom)).items():
+            _axpy(part_coords, euler_lift_element(n, level, mu), d)
+        part = _from_schur(n, part_coords)
+        lift = part + lift
+        _axpy(coords, part_coords, 1)
+        residual = residual - ds_eval(part)

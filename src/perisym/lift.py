@@ -36,9 +36,10 @@ from .errors import (ArityMismatch, LiftStalled, NoIntegerSolution, NotMember, N
                      WindowTooSmall)
 from .dsmap import _check_member, ds_eval
 from .euler import _lift_euler
+from .intlinalg import _axpy
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
-from .schur import SchurExpansion
-from .thinkac import _thin_kac_coordinates, _thin_kac_plus
+from .schur import SchurExpansion, _schur_coefficients
+from .thinkac import _parity_signed, _peel, _thin_kac_plus
 from .weights import Weight
 
 DEFAULT_MAX_WINDOW = 12
@@ -350,9 +351,9 @@ def certify(f: LaurentPoly, *, max_window: int | None = None,
     remainders below it are in J by construction, so they are not checked
     again; the lift postcondition ``ds_eval(lift) == h`` still is, and so
     is the divisibility of each remainder by R, which fails unless its
-    evaluation vanishes: the thin-Kac peel
-    (:func:`thinkac._thin_kac_coordinates`) raises NotDivisible on a
-    symmetric remainder exactly when R does not divide it.
+    evaluation vanishes: the thin-Kac peel (:func:`thinkac._peel`) raises
+    NotDivisible on the Schur coordinates of a symmetric remainder exactly
+    when R does not divide it.
     """
     if lift not in LIFT_ROUTES:
         raise ValueError(f"unknown lift route {lift!r}; expected one of {LIFT_ROUTES}")
@@ -362,29 +363,44 @@ def certify(f: LaurentPoly, *, max_window: int | None = None,
 
 def _certify(f: LaurentPoly, max_window: int | None, route: str) -> Certificate:
     """Walk the rank chain in two loops: every evaluation image top-down,
-    then the lifts and kernel coordinates bottom-up."""
+    then the lifts and kernel coordinates bottom-up.
+
+    A level writes no remainder ``upper - lift``: its kernel coordinates
+    are peeled from the Schur coefficients of upper minus those that
+    come with the lift (:func:`_route_lift`).
+    """
     chain = [f]
     while chain[-1].arity > 1:
         chain.append(ds_eval(chain[-1]))
     levels = []
     for upper, h in reversed(list(zip(chain, chain[1:]))):
-        lift_part = _route_lift(h, max_window, route)
-        levels.append(CertificateLevel(upper.arity, lift_part,
-                                       _thin_kac_coordinates(upper - lift_part)))
+        n = upper.arity
+        lift_part, lift_coords = _route_lift(h, max_window, route, coordinates=True)
+        remainder = _schur_coefficients(upper)
+        _axpy(remainder, lift_coords, -1)
+        kernel = SchurExpansion(n, _parity_signed(_peel(n, remainder)))
+        levels.append(CertificateLevel(n, lift_part, kernel))
     return Certificate(tuple(reversed(levels)), chain[-1])
 
 
-def _route_lift(h: LaurentPoly, max_window: int | None, route: str) -> LaurentPoly:
+def _route_lift(h: LaurentPoly, max_window: int | None, route: str, *,
+                coordinates: bool = False) -> tuple[LaurentPoly, dict[Weight, int] | None]:
     """The lift of an h known to lie in J_{n-2}, as a certificate level
     and ``perisym lift`` take it: the Euler lift for a target that is not
     diagonal on the Euler route, else (or when it stalls) the window
-    lift, which lifts a diagonal target directly."""
+    lift, which lifts a diagonal target directly.
+
+    Returns the lift with its nonzero Schur coefficients, which the Euler
+    lift sums round by round; the other lifts read them only when
+    ``coordinates`` is true, and give None otherwise.
+    """
     if route == "euler" and _diagonal_lift(h, h.arity + 2) is None:
         try:
             return _lift_euler(h)
         except (LiftStalled, NotMember):
             pass
-    return _lift(h, None, max_window)
+    lift = _lift(h, None, max_window)
+    return lift, _schur_coefficients(lift) if coordinates else None
 
 
 @functools.cache

@@ -124,9 +124,16 @@ class SchurExpansion(_WeightCombination):
         :func:`_dominant_coefficients` sums over all the weights at once.
         Each nonzero D[nu] is then written at every permutation of nu
         (:func:`laurent._from_orbits`), once for the whole expansion; no
-        s_lam is built or cached.
+        s_lam is built or cached (:func:`_from_schur`).
         """
-        return _from_orbits(self.arity, _dominant_coefficients(self.coeffs))
+        return _from_schur(self.arity, self.coeffs)
+
+
+def _from_schur(arity: int, coeffs: Mapping[Weight, int]) -> LaurentPoly:
+    """The polynomial sum_lam c_lam s_lam, unchecked: the writer behind
+    :meth:`SchurExpansion.to_poly` for coordinates whose weights are
+    already known to be dominant, such as sums of cached tables."""
+    return _from_orbits(arity, _dominant_coefficients(coeffs))
 
 
 @functools.cache
