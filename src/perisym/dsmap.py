@@ -11,13 +11,16 @@ in that kernel, then reads its coordinates from :mod:`thinkac`.
 
 from __future__ import annotations
 
+import functools
+import operator
 from dataclasses import dataclass
-from typing import Literal
+from typing import Callable, Literal, Mapping
 
 from .errors import ArityMismatch, NotInKernel, NotMember, NotSymmetric
-from .laurent import LaurentPoly
+from .laurent import LaurentPoly, _from_orbits
 from .schur import SchurExpansion
 from .thinkac import _thin_kac_coordinates
+from .weights import Weight
 
 
 @dataclass(frozen=True)
@@ -42,15 +45,19 @@ def membership(f: LaurentPoly) -> MembershipReport:
     (1, 2).  A symmetric f is sliced at the evaluation pair (n - 1, n)
     instead, whose rest is a prefix: a permutation of the variables
     carries one slice's terms onto the other's, so the report and its
-    witness are the same.  Rings with fewer than two variables have no
-    pair condition.
+    witness are the same.  An f with orbit coordinates is sliced on them
+    (:func:`_orbit_slice`), with the same witness.  Rings with fewer
+    than two variables have no pair condition.
     """
     n = f.arity
     symmetric = f.is_symmetric()
     if n < 2:
         return MembershipReport(symmetric, True, None)
-    pair = (n - 1, n) if symmetric else (1, 2)
-    witness = f.substitute_pair(*pair).t_witness()
+    if f._orbits is not None:
+        witness = _orbit_slice(f._orbits)[0]
+    else:
+        pair = (n - 1, n) if symmetric else (1, 2)
+        witness = f.substitute_pair(*pair).t_witness()
     return MembershipReport(symmetric, witness is None, witness)
 
 
@@ -67,26 +74,100 @@ def ds_eval(f: LaurentPoly) -> LaurentPoly:
     """Evaluate x_{n-1} = t, x_n = t^{-1} and drop t.
 
     Raises :class:`NotMember` when the slice has a t-dependent term;
-    the compressed result keeps the surviving variables in order.
+    the compressed result keeps the surviving variables in order.  An f
+    with orbit coordinates is evaluated on them (:func:`_orbit_slice`),
+    and the result is written from the orbit coordinates of its t-free
+    part, so it has them too; any other f is sliced term by term
+    (:meth:`LaurentPoly.substitute_pair`).
     """
     n = f.arity
     if n < 2:
         raise ArityMismatch("the evaluation map needs at least two variables")
+    if f._orbits is not None:
+        return _from_orbits(n - 2, _evaluated_orbits(f._orbits))
     tslice = f.substitute_pair(n - 1, n)
-    witness = tslice.t_witness()
+    _check_t_free(tslice.t_witness())
+    return LaurentPoly._raw(n - 2, tslice.constant_part())
+
+
+def _check_t_free(witness: tuple[int, tuple[int, ...]] | None) -> None:
+    """Raise :class:`NotMember` naming the witness, if there is one."""
     if witness is not None:
         raise NotMember(
             f"t-dependent slice term with t-exponent {witness[0]}", witness=witness
         )
-    return LaurentPoly._raw(n - 2, tslice.constant_part())
+
+
+def _evaluated_orbits(orbits: Mapping[Weight, int]) -> dict[Weight, int]:
+    """The orbit coordinates of the evaluation of sum_nu c_nu m_nu;
+    raises :class:`NotMember` as :func:`ds_eval` does."""
+    witness, t_free = _orbit_slice(orbits)
+    _check_t_free(witness)
+    return t_free
+
+
+def _orbit_slice(orbits: Mapping[Weight, int]
+                 ) -> tuple[tuple[int, Weight] | None, dict[Weight, int]]:
+    """The slice at x_{n-1} = t, x_n = t^{-1} of sum_nu c_nu m_nu, read
+    from its orbit coordinates: the witness of
+    :meth:`TSlice.t_witness <perisym.laurent.TSlice.t_witness>` for
+    the slice term by term, and the orbit coordinates of the t-free part.
+
+    m_nu becomes the sum, over the distinct ordered pairs (a, b) of
+    values at two positions of nu, of t^(a-b) m_rest, with rest the
+    weakly decreasing nu without one a and one b; two pairs with the
+    same t-exponent and rest are the same pair.  Exchanging x_{n-1} and
+    x_n sends t to t^{-1} and fixes a symmetric f, so the coefficient of
+    t^-d m_rest is that of t^d m_rest, and only the pairs with a >= b
+    (:func:`_value_pairs`) are read.  The term-by-term slice has the
+    coefficient of t^d m_rest at (d, w) for every arrangement w of rest,
+    and the decreasing one is the largest, so its witness is the largest
+    (d, rest) with d > 0 and a nonzero coefficient.
+    """
+    slice_: dict[tuple[int, Weight], int] = {}
+    get = slice_.get
+    for nu, c in orbits.items():
+        for i, j, rest in _value_pairs(tuple(map(operator.eq, nu, nu[1:]))):
+            key = (nu[i] - nu[j], rest(nu))
+            slice_[key] = get(key, 0) + c
+    witness = max((key for key, c in slice_.items() if c and key[0]), default=None)
+    return witness, {rest: c for (d, rest), c in slice_.items() if c and not d}
+
+
+@functools.cache
+def _value_pairs(ties: tuple[bool, ...]) -> tuple[tuple[int, int, Callable], ...]:
+    """The pairs of values a >= b at two positions of a weakly decreasing
+    weight nu whose entries k and k + 1 are equal exactly where
+    ``ties[k]``: one (i, j, rest) per pair, where i is the first position
+    of a, j the first position of b after i, and ``rest(nu)`` is nu
+    without positions i and j, as a tuple.  Cached per pattern of ties,
+    of which an arity n has 2^(n-1)."""
+    n = len(ties) + 1
+    firsts = [k for k in range(n) if not k or not ties[k - 1]]
+    out = []
+    for i in firsts:
+        for j in ([i + 1] if i + 1 < n and ties[i] else []) + [j for j in firsts if j > i]:
+            kept = tuple(k for k in range(n) if k != i and k != j)
+            if len(kept) > 1:
+                rest = operator.itemgetter(*kept)
+            else:  # itemgetter of one index gives the entry, not a tuple
+                rest = lambda nu, kept=kept: tuple(map(nu.__getitem__, kept))
+            out.append((i, j, rest))
+    return tuple(out)
 
 
 def ds_power(f: LaurentPoly, k: int) -> LaurentPoly:
     """The k-fold composition of the evaluation map, landing in arity
-    n - 2k.  ``k = 0`` is the identity."""
+    n - 2k.  ``k = 0`` is the identity.  An f with orbit coordinates is
+    evaluated on them k times, and only the last image is written."""
     n = f.arity
     if not 0 <= k <= n // 2:
         raise ArityMismatch(f"cannot apply the evaluation {k} times at arity {n}")
+    if k and f._orbits is not None:
+        orbits = f._orbits
+        for _ in range(k):
+            orbits = _evaluated_orbits(orbits)
+        return _from_orbits(n - 2 * k, orbits)
     out = f
     for _ in range(k):
         out = ds_eval(out)

@@ -13,6 +13,16 @@ Values are immutable by convention: no method mutates ``self`` or its
 arguments, so instances may be shared freely (including across threads).
 Values that a cache hands out have read-only terms (:func:`_read_only`),
 so no caller can change what later calls return.
+
+A polynomial written from monomial-orbit coordinates (:func:`_from_orbits`)
+keeps them in the private slot ``_orbits``: its weakly decreasing orbit
+representatives mapped to their nonzero coefficients, so that it is
+sum_mu c_mu m_mu.  ``+``, ``-``, negation and integer multiples carry the
+slot when every operand has one, as do the constants; every other value
+has ``_orbits = None``, as its symmetry is not known.  Readers that need
+symmetry (the evaluation map, the Schur expansion) read the slot when it
+is set and the terms otherwise.  It takes no part in equality, hashing or
+display.
 """
 
 from __future__ import annotations
@@ -45,7 +55,7 @@ class LaurentPoly:
     exponent vector is the empty tuple.
     """
 
-    __slots__ = ("arity", "terms", "_hash")
+    __slots__ = ("arity", "terms", "_hash", "_orbits")
 
     def __init__(self, arity: int, terms: Mapping[tuple[int, ...], int] | None = None):
         if arity < 0:
@@ -66,30 +76,35 @@ class LaurentPoly:
         self.arity = arity
         self.terms = clean
         self._hash = None
+        self._orbits = None
 
     @classmethod
-    def _raw(cls, arity: int, terms: dict[tuple[int, ...], int]) -> "LaurentPoly":
-        # Trusted fast path: terms must already be normalized.
+    def _raw(cls, arity: int, terms: dict[tuple[int, ...], int],
+             orbits: dict[tuple[int, ...], int] | None = None) -> "LaurentPoly":
+        # Trusted fast path: terms must already be normalized, and orbits,
+        # when given, must be the orbit coordinates of the terms.
         self = object.__new__(cls)
         self.arity = arity
         self.terms = terms
         self._hash = None
+        self._orbits = orbits
         return self
 
     # -- constructors -------------------------------------------------
 
     @classmethod
     def zero(cls, arity: int) -> "LaurentPoly":
-        return cls._raw(arity, {})
+        return cls._raw(arity, {}, {})
 
     @classmethod
     def one(cls, arity: int) -> "LaurentPoly":
-        return cls._raw(arity, {(0,) * arity: 1})
+        return cls.constant(arity, 1)
 
     @classmethod
     def constant(cls, arity: int, value: int) -> "LaurentPoly":
         value = operator.index(value)
-        return cls._raw(arity, {(0,) * arity: value} if value else {})
+        terms = {(0,) * arity: value} if value else {}
+        return cls._raw(arity, terms, dict(terms))
 
     @classmethod
     def monomial(cls, arity: int, exps: Iterable[int], coef: int = 1) -> "LaurentPoly":
@@ -173,7 +188,18 @@ class LaurentPoly:
         self._check_arity(other)
         out = dict(self.terms)
         _axpy(out, other.terms, sign)
-        return LaurentPoly._raw(self.arity, out)
+        orbits = None
+        if self._orbits is not None and other._orbits is not None:
+            orbits = dict(self._orbits)
+            _axpy(orbits, other._orbits, sign)
+        return LaurentPoly._raw(self.arity, out, orbits)
+
+    def _scaled(self, k: int) -> "LaurentPoly":
+        """k * self for a nonzero int k, orbit coordinates included."""
+        orbits = self._orbits
+        if orbits is not None:
+            orbits = {mu: c * k for mu, c in orbits.items()}
+        return LaurentPoly._raw(self.arity, {e: c * k for e, c in self.terms.items()}, orbits)
 
     def __add__(self, other) -> "LaurentPoly":
         return self._plus(other, 1)
@@ -181,7 +207,7 @@ class LaurentPoly:
     __radd__ = __add__
 
     def __neg__(self) -> "LaurentPoly":
-        return LaurentPoly._raw(self.arity, {e: -c for e, c in self.terms.items()})
+        return self._scaled(-1)
 
     def __sub__(self, other) -> "LaurentPoly":
         return self._plus(other, -1)
@@ -191,9 +217,7 @@ class LaurentPoly:
 
     def __mul__(self, other) -> "LaurentPoly":
         if isinstance(other, int):
-            if not other:
-                return LaurentPoly.zero(self.arity)
-            return LaurentPoly._raw(self.arity, {e: c * other for e, c in self.terms.items()})
+            return self._scaled(other) if other else LaurentPoly.zero(self.arity)
         if not isinstance(other, LaurentPoly):
             return NotImplemented
         self._check_arity(other)
@@ -255,15 +279,17 @@ class LaurentPoly:
         return LaurentPoly._raw(self.arity, out)
 
     def is_symmetric(self) -> bool:
-        """True when invariant under the full symmetric group.  It is
-        generated by the transposition of the first two variables and
-        the cycle through all of them, so each term is compared with its
-        two images.  A permutation g that maps every term w to a term with
+        """True when invariant under the full symmetric group: at once
+        for a value with orbit coordinates, a sum of orbit sums.  Any
+        other value is checked term by term.  The group is generated by
+        the transposition of the first two variables and the cycle
+        through all of them, so each term is compared with its two
+        images.  A permutation g that maps every term w to a term with
         the same coefficient fixes f: following w, g(w), g(g(w)), ... stays
         among the terms and returns to w.  The work is bounded by the
         terms, so a zero polynomial of any arity is symmetric at once."""
         n, terms = self.arity, self.terms
-        if n < 2 or not terms:
+        if n < 2 or not terms or self._orbits is not None:
             return True
         return all(all(map(operator.eq, map(terms.get, map(image, terms)), terms.values()))
                    for image in (operator.itemgetter(*range(1, n), 0),
@@ -346,8 +372,11 @@ class LaurentPoly:
 
 
 def _read_only(poly: LaurentPoly) -> LaurentPoly:
-    """``poly`` with its terms behind a read-only view (not a copy)."""
-    return LaurentPoly._raw(poly.arity, MappingProxyType(poly.terms))
+    """``poly`` with its terms, and its orbit coordinates if it has them,
+    behind read-only views (not copies)."""
+    orbits = poly._orbits
+    return LaurentPoly._raw(poly.arity, MappingProxyType(poly.terms),
+                            None if orbits is None else MappingProxyType(orbits))
 
 
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:
@@ -620,13 +649,17 @@ def _from_orbits(arity: int, coeffs: Mapping[tuple[int, ...], int]) -> LaurentPo
     """The symmetric polynomial sum_mu c_mu m_mu: each nonzero c_mu is
     written at every distinct permutation of mu (:func:`_arrangements`),
     so the keys must lie in distinct orbits.  Terms are inserted in the
-    order of first appearance in ``itertools.permutations(mu)``.
+    order of first appearance in ``itertools.permutations(mu)``.  The
+    result keeps the nonzero c_mu as its orbit coordinates, each keyed by
+    mu sorted decreasing.
     """
     terms: dict[tuple[int, ...], int] = {}
+    orbits: dict[tuple[int, ...], int] = {}
     for mu, coef in coeffs.items():
         if coef:
             terms.update(dict.fromkeys(_arrangements(mu), coef))
-    return LaurentPoly._raw(arity, terms)
+            orbits[tuple(sorted(mu, reverse=True))] = coef
+    return LaurentPoly._raw(arity, terms, orbits)
 
 
 def monomial_orbit_sum(arity: int, weight: Iterable[int]) -> LaurentPoly:

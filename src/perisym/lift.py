@@ -34,7 +34,7 @@ from dataclasses import dataclass
 from . import intlinalg
 from .errors import (ArityMismatch, LiftStalled, NoIntegerSolution, NotMember, NotSymmetric,
                      WindowTooSmall)
-from .dsmap import _check_member, ds_eval
+from .dsmap import _check_member, _value_pairs, ds_eval
 from .euler import _lift_euler
 from .intlinalg import _axpy
 from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
@@ -95,19 +95,18 @@ def _orbit_column(mu: Weight, include_t_zero: bool) -> dict:
 
     Under x_{n-1} = t, x_n = 1/t the orbit sum m_mu becomes
     sum t^(a-b) * m_rest over the distinct ordered value pairs (a, b)
-    drawn from mu, where rest is mu with one a and one b removed (still
-    sorted decreasing).  The column maps each key (a - b, rest) to the
-    coefficient of t^(a-b) * m_rest: distinct pairs give distinct keys,
-    so every coefficient is 1, and the loop over positions may meet a
-    key more than once.  Pairs with a == b are left out unless
-    ``include_t_zero``.
+    drawn from mu (:func:`dsmap._orbit_slice`), so the column maps each
+    key (a - b, rest) to 1: the pairs a >= b of
+    :func:`dsmap._value_pairs`, and each a > b again swapped.  Pairs with
+    a == b are left out unless ``include_t_zero``.
     """
     column = {}
-    for i, a in enumerate(mu):
-        others = mu[:i] + mu[i + 1:]
-        for j, b in enumerate(others):
-            if a != b or include_t_zero:
-                column[(a - b, others[:j] + others[j + 1:])] = 1
+    for i, j, rest in _value_pairs(tuple(map(operator.eq, mu, mu[1:]))):
+        d, r = mu[i] - mu[j], rest(mu)
+        if d:
+            column[(d, r)] = column[(-d, r)] = 1
+        elif include_t_zero:
+            column[(0, r)] = 1
     return column
 
 
@@ -165,15 +164,15 @@ def _window_system(n: int, window: Window) -> _WindowSystem:
 
 def _diagonal_lift(h: LaurentPoly, n: int) -> LaurentPoly | None:
     """Exact preimage for targets supported on powers of x_1...x_m:
-    the same integer combination of powers of x_1...x_n.  Covers every
-    target of arity 0 or 1."""
+    the same integer combination of powers of x_1...x_n, each its own
+    orbit.  Covers every target of arity 0 or 1."""
     terms: dict[tuple[int, ...], int] = {}
     for exps, coef in h.terms.items():
         c = exps[0] if exps else 0
         if any(e != c for e in exps):
             return None
         terms[(c,) * n] = coef
-    return LaurentPoly(n, terms)
+    return _from_orbits(n, terms)
 
 
 def orbit_sum_combination(n: int, coeffs: dict[Weight, int]) -> LaurentPoly:

@@ -305,15 +305,19 @@ def _schur_coefficients(f: LaurentPoly) -> dict[Weight, int]:
 
     f is the sum of F[nu] m_nu over its weakly decreasing exponents nu,
     so its coefficients are sum_nu F[nu] A_nu, with A_nu the expansion of
-    m_nu (:func:`_orbit_schur`).  Only the dominant terms of f are read,
+    m_nu (:func:`_orbit_schur`).  The F[nu] are f's orbit coordinates
+    when it has them; otherwise only the dominant terms of f are read,
     found by one filter per adjacent pair of coordinates.
     """
-    dominant = list(f.terms)
-    for k in range(f.arity - 1):
-        dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
+    orbits = f._orbits
+    if orbits is None:
+        dominant = list(f.terms)
+        for k in range(f.arity - 1):
+            dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
+        orbits = {nu: f.terms[nu] for nu in dominant}
     coeffs: dict[Weight, int] = {}
-    for nu in dominant:
-        _axpy(coeffs, _orbit_schur(nu), f.terms[nu])
+    for nu, c in orbits.items():
+        _axpy(coeffs, _orbit_schur(nu), c)
     return coeffs
 
 
