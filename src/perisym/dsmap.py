@@ -17,7 +17,7 @@ from dataclasses import dataclass
 from typing import Callable, Literal, Mapping
 
 from .errors import ArityMismatch, NotInKernel, NotMember, NotSymmetric
-from .laurent import LaurentPoly, _from_orbits
+from .laurent import LaurentPoly, _from_orbits, _orbit_coordinates
 from .schur import SchurExpansion
 from .thinkac import _thin_kac_coordinates
 from .weights import Weight
@@ -42,22 +42,19 @@ def membership(f: LaurentPoly) -> MembershipReport:
     """Test membership of f in J_n.
 
     Checks S_n-invariance, then t-independence of the slice at the pair
-    (1, 2).  A symmetric f is sliced at the evaluation pair (n - 1, n)
-    instead, whose rest is a prefix: a permutation of the variables
-    carries one slice's terms onto the other's, so the report and its
-    witness are the same.  An f with orbit coordinates is sliced on them
-    (:func:`_orbit_slice`), with the same witness.  Rings with fewer
-    than two variables have no pair condition.
+    (1, 2), term by term.  A symmetric f is sliced instead on its orbit
+    coordinates, recorded when it is written from them or on its first
+    symmetry check, at the evaluation pair (n - 1, n)
+    (:func:`_orbit_slice`): a permutation of the variables carries one
+    slice's terms onto the other's, so the report and its witness are
+    the same.  Rings with fewer than two variables have no pair condition.
     """
     n = f.arity
     symmetric = f.is_symmetric()
     if n < 2:
         return MembershipReport(symmetric, True, None)
-    if f._orbits is not None:
-        witness = _orbit_slice(f._orbits)[0]
-    else:
-        pair = (n - 1, n) if symmetric else (1, 2)
-        witness = f.substitute_pair(*pair).t_witness()
+    witness = (_orbit_slice(_orbit_coordinates(f))[0] if symmetric
+               else f.substitute_pair(1, 2).t_witness())
     return MembershipReport(symmetric, witness is None, witness)
 
 
@@ -74,17 +71,19 @@ def ds_eval(f: LaurentPoly) -> LaurentPoly:
     """Evaluate x_{n-1} = t, x_n = t^{-1} and drop t.
 
     Raises :class:`NotMember` when the slice has a t-dependent term;
-    the compressed result keeps the surviving variables in order.  An f
-    with orbit coordinates is evaluated on them (:func:`_orbit_slice`),
-    and the result is written from the orbit coordinates of its t-free
-    part, so it has them too; any other f is sliced term by term
+    the compressed result keeps the surviving variables in order.  A
+    symmetric f is evaluated on its orbit coordinates, recorded when it
+    is written from them or on its first symmetry check
+    (:func:`_orbit_slice`), and the image is written from those of its
+    t-free part; any other f is sliced term by term
     (:meth:`LaurentPoly.substitute_pair`).
     """
     n = f.arity
     if n < 2:
         raise ArityMismatch("the evaluation map needs at least two variables")
-    if f._orbits is not None:
-        return _from_orbits(n - 2, _evaluated_orbits(f._orbits))
+    orbits = _orbit_coordinates(f)
+    if orbits is not None:
+        return _from_orbits(n - 2, _evaluated_orbits(orbits))
     tslice = f.substitute_pair(n - 1, n)
     _check_t_free(tslice.t_witness())
     return LaurentPoly._raw(n - 2, tslice.constant_part())
@@ -158,13 +157,14 @@ def _value_pairs(ties: tuple[bool, ...]) -> tuple[tuple[int, int, Callable], ...
 
 def ds_power(f: LaurentPoly, k: int) -> LaurentPoly:
     """The k-fold composition of the evaluation map, landing in arity
-    n - 2k.  ``k = 0`` is the identity.  An f with orbit coordinates is
-    evaluated on them k times, and only the last image is written."""
+    n - 2k.  ``k = 0`` is the identity.  A symmetric f is evaluated k
+    times on its orbit coordinates, recorded when it is written from them
+    or on its first symmetry check; only the last image is written."""
     n = f.arity
     if not 0 <= k <= n // 2:
         raise ArityMismatch(f"cannot apply the evaluation {k} times at arity {n}")
-    if k and f._orbits is not None:
-        orbits = f._orbits
+    orbits = _orbit_coordinates(f) if k else None
+    if orbits is not None:
         for _ in range(k):
             orbits = _evaluated_orbits(orbits)
         return _from_orbits(n - 2 * k, orbits)

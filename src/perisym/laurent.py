@@ -14,15 +14,14 @@ arguments, so instances may be shared freely (including across threads).
 Values that a cache hands out have read-only terms (:func:`_read_only`),
 so no caller can change what later calls return.
 
-A polynomial written from monomial-orbit coordinates (:func:`_from_orbits`)
-keeps them in the private slot ``_orbits``: its weakly decreasing orbit
-representatives mapped to their nonzero coefficients, so that it is
-sum_mu c_mu m_mu.  ``+``, ``-``, negation and integer multiples carry the
-slot when every operand has one, as do the constants; every other value
-has ``_orbits = None``, as its symmetry is not known.  Readers that need
-symmetry (the evaluation map, the Schur expansion) read the slot when it
-is set and the terms otherwise.  It takes no part in equality, hashing or
-display.
+A symmetric polynomial keeps its monomial-orbit coordinates in the
+private slot ``_orbits``: its weakly decreasing orbit representatives
+mapped to their nonzero coefficients, so that it is sum_mu c_mu m_mu.
+They are recorded when it is written from them (:func:`_from_orbits`)
+or on its first symmetry check (:func:`_orbit_coordinates`, through
+which the evaluation map, the membership test and the Schur expansion
+read them); ``+``, ``-``, negation, integer multiples and the constants
+carry them.  They take no part in equality, hashing or display.
 """
 
 from __future__ import annotations
@@ -279,21 +278,10 @@ class LaurentPoly:
         return LaurentPoly._raw(self.arity, out)
 
     def is_symmetric(self) -> bool:
-        """True when invariant under the full symmetric group: at once
-        for a value with orbit coordinates, a sum of orbit sums.  Any
-        other value is checked term by term.  The group is generated by
-        the transposition of the first two variables and the cycle
-        through all of them, so each term is compared with its two
-        images.  A permutation g that maps every term w to a term with
-        the same coefficient fixes f: following w, g(w), g(g(w)), ... stays
-        among the terms and returns to w.  The work is bounded by the
-        terms, so a zero polynomial of any arity is symmetric at once."""
-        n, terms = self.arity, self.terms
-        if n < 2 or not terms or self._orbits is not None:
-            return True
-        return all(all(map(operator.eq, map(terms.get, map(image, terms)), terms.values()))
-                   for image in (operator.itemgetter(*range(1, n), 0),
-                                 operator.itemgetter(1, 0, *range(2, n))))
+        """True when invariant under the full symmetric group, that is,
+        when it has orbit coordinates: recorded when it is written from
+        them or on its first symmetry check (:func:`_orbit_coordinates`)."""
+        return _orbit_coordinates(self) is not None
 
     # -- pair substitution ----------------------------------------------
 
@@ -313,15 +301,9 @@ class LaurentPoly:
         lo, hi = min(a, b), max(a, b)
         terms: dict[tuple[int, tuple[int, ...]], int] = {}
         get = terms.get
-        if (lo, hi) == (n - 2, n - 1):
-            # The pair of the evaluation map: the rest is a prefix.
-            for exps, coef in self.terms.items():
-                key = (exps[a] - exps[b], exps[:lo])
-                terms[key] = get(key, 0) + coef
-        else:
-            for exps, coef in self.terms.items():
-                key = (exps[a] - exps[b], exps[:lo] + exps[lo + 1:hi] + exps[hi + 1:])
-                terms[key] = get(key, 0) + coef
+        for exps, coef in self.terms.items():
+            key = (exps[a] - exps[b], exps[:lo] + exps[lo + 1:hi] + exps[hi + 1:])
+            terms[key] = get(key, 0) + coef
         return TSlice(n, (i, j), {key: c for key, c in terms.items() if c})
 
     # -- exact division ---------------------------------------------------
@@ -377,6 +359,31 @@ def _read_only(poly: LaurentPoly) -> LaurentPoly:
     orbits = poly._orbits
     return LaurentPoly._raw(poly.arity, MappingProxyType(poly.terms),
                             None if orbits is None else MappingProxyType(orbits))
+
+
+def _orbit_coordinates(f: LaurentPoly) -> Mapping[tuple[int, ...], int] | None:
+    """The orbit coordinates of f, or None when f is not symmetric: the
+    ``_orbits`` of a value written from them, else the weakly decreasing
+    terms of a value that passes a check term by term, recorded on it as
+    a read-only map (a memo, like its hash).  The symmetric group is
+    generated by the transposition of the first two variables and the
+    cycle through all of them, so each term is compared with its two
+    images: a permutation g that maps every term w to a term with the
+    same coefficient fixes f, as w, g(w), g(g(w)), ... stays among the
+    terms and returns to w.  A zero polynomial has the empty map at once.
+    """
+    if f._orbits is None:
+        n, terms = f.arity, f.terms
+        dominant = list(terms)
+        if dominant and n > 1:
+            if not all(all(map(operator.eq, map(terms.get, map(image, terms)), terms.values()))
+                       for image in (operator.itemgetter(*range(1, n), 0),
+                                     operator.itemgetter(1, 0, *range(2, n)))):
+                return None
+            for k in range(n - 1):
+                dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
+        f._orbits = MappingProxyType({nu: terms[nu] for nu in dominant})
+    return f._orbits
 
 
 def _divide_by_heap(f: LaurentPoly, divisor: LaurentPoly) -> LaurentPoly:

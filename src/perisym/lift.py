@@ -37,7 +37,7 @@ from .errors import (ArityMismatch, LiftStalled, NoIntegerSolution, NotMember, N
 from .dsmap import _check_member, _value_pairs, ds_eval
 from .euler import _lift_euler
 from .intlinalg import _axpy
-from .laurent import LaurentPoly, _from_orbits, _read_only, grlex_key
+from .laurent import LaurentPoly, _from_orbits, _orbit_coordinates, _read_only, grlex_key
 from .schur import SchurExpansion, _schur_coefficients
 from .thinkac import _parity_signed, _peel, _thin_kac_plus
 from .weights import Weight
@@ -135,13 +135,11 @@ class _WindowSystem:
 
     def solve(self, h: LaurentPoly) -> dict[Weight, int]:
         rhs = {}
-        for exps, coef in h.terms.items():
-            r = tuple(sorted(exps, reverse=True))
-            if exps == r:
-                row = (0, r)
-                if row not in self.row_index:
-                    raise intlinalg.Infeasible(f"target row {row!r} unreachable")
-                rhs[self.row_index[row]] = coef
+        for r, coef in _orbit_coordinates(h).items():
+            row = (0, r)
+            if row not in self.row_index:
+                raise intlinalg.Infeasible(f"target row {row!r} unreachable")
+            rhs[self.row_index[row]] = coef
         x = self.echelon.solve(rhs, self.row_names.__getitem__)
         x = intlinalg.reduce_by_lattice(x, self._lattice)
         return {self.weights[i]: c for i, c in x.items() if c}
@@ -374,7 +372,7 @@ def _certify(f: LaurentPoly, max_window: int | None, route: str) -> Certificate:
     levels = []
     for upper, h in reversed(list(zip(chain, chain[1:]))):
         n = upper.arity
-        lift_part, lift_coords = _route_lift(h, max_window, route, coordinates=True)
+        lift_part, lift_coords = _route_lift(h, max_window, route)
         remainder = _schur_coefficients(upper)
         _axpy(remainder, lift_coords, -1)
         kernel = SchurExpansion(n, _parity_signed(_peel(n, remainder)))
@@ -382,16 +380,16 @@ def _certify(f: LaurentPoly, max_window: int | None, route: str) -> Certificate:
     return Certificate(tuple(reversed(levels)), chain[-1])
 
 
-def _route_lift(h: LaurentPoly, max_window: int | None, route: str, *,
-                coordinates: bool = False) -> tuple[LaurentPoly, dict[Weight, int] | None]:
+def _route_lift(h: LaurentPoly, max_window: int | None,
+                route: str) -> tuple[LaurentPoly, dict[Weight, int]]:
     """The lift of an h known to lie in J_{n-2}, as a certificate level
     and ``perisym lift`` take it: the Euler lift for a target that is not
     diagonal on the Euler route, else (or when it stalls) the window
     lift, which lifts a diagonal target directly.
 
     Returns the lift with its nonzero Schur coefficients, which the Euler
-    lift sums round by round; the other lifts read them only when
-    ``coordinates`` is true, and give None otherwise.
+    lift sums round by round and the other lifts read from their orbit
+    coordinates.
     """
     if route == "euler" and _diagonal_lift(h, h.arity + 2) is None:
         try:
@@ -399,7 +397,7 @@ def _route_lift(h: LaurentPoly, max_window: int | None, route: str, *,
         except (LiftStalled, NotMember):
             pass
     lift = _lift(h, None, max_window)
-    return lift, _schur_coefficients(lift) if coordinates else None
+    return lift, _schur_coefficients(lift)
 
 
 @functools.cache

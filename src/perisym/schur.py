@@ -17,7 +17,7 @@ so no s_lam is built on the way.  ``schur_poly`` is the one-weight case.
 q * a_rho is the antisymmetrization of x^rho * q, so every term of q
 contributes one signed alternant a_{lam + rho} and no Schur polynomial is
 built.  A symmetric q is a sum of orbit sums, so the expansion reads
-only the dominant terms of q and adds the expansion of each orbit sum
+the orbit coordinates of q and adds the expansion of each orbit sum
 (``_schur_coefficients``), which is straightened once per process.
 ``alternant`` and ``denominators`` give the pieces of the bialternant
 formula s_lam = a_{lam + rho} / a_rho, which other modules and the
@@ -39,6 +39,7 @@ from .laurent import (
     LaurentPoly,
     _arrangements,
     _from_orbits,
+    _orbit_coordinates,
     _read_only,
     grlex_key,
     permutations_with_signs,
@@ -305,18 +306,12 @@ def _schur_coefficients(f: LaurentPoly) -> dict[Weight, int]:
 
     f is the sum of F[nu] m_nu over its weakly decreasing exponents nu,
     so its coefficients are sum_nu F[nu] A_nu, with A_nu the expansion of
-    m_nu (:func:`_orbit_schur`).  The F[nu] are f's orbit coordinates
-    when it has them; otherwise only the dominant terms of f are read,
-    found by one filter per adjacent pair of coordinates.
+    m_nu (:func:`_orbit_schur`).  The F[nu] are f's orbit coordinates,
+    recorded when f is written from them or on its first symmetry check
+    (:func:`laurent._orbit_coordinates`).
     """
-    orbits = f._orbits
-    if orbits is None:
-        dominant = list(f.terms)
-        for k in range(f.arity - 1):
-            dominant = [nu for nu in dominant if nu[k] >= nu[k + 1]]
-        orbits = {nu: f.terms[nu] for nu in dominant}
     coeffs: dict[Weight, int] = {}
-    for nu, c in orbits.items():
+    for nu, c in _orbit_coordinates(f).items():
         _axpy(coeffs, _orbit_schur(nu), c)
     return coeffs
 

@@ -1,8 +1,12 @@
-"""Polynomials written from monomial-orbit coordinates keep them, and the
-evaluation map, the membership test, the symmetry test and the Schur
-expansion read them.  Every reader is checked against the term route,
-run on a copy of the same terms that carries no orbit coordinates, and
-values of unknown symmetry are checked to carry none."""
+"""Polynomials written from monomial-orbit coordinates keep them, any
+other symmetric polynomial records them on its first symmetry check, and
+the evaluation map, the membership test, the symmetry test and the Schur
+expansion read them.  The readers are checked against a reference built
+from the term-by-term slice alone, on inputs written from orbits, built
+with the constructor and read from JSON; values of unknown symmetry are
+checked to carry none until they are checked."""
+
+from types import MappingProxyType
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -12,13 +16,14 @@ from perisym import (LaurentPoly, MembershipReport, NotMember, SchurExpansion, d
                      membership_window_basis, monomial_orbit_sum, orbit_sum_combination,
                      schur_poly, sch_thin_kac)
 from perisym.laurent import _from_orbits, _read_only
-from perisym.schur import _schur_coefficients
+from perisym.schur import _schur_coefficients, denominators
 from perisym.serialize import poly_from_dict, poly_to_dict
 from perisym.thinkac import thin_kac_combination
 
 
 def term_copy(f):
-    """The same terms with no orbit coordinates: the term route's input."""
+    """The same terms with no orbit coordinates until its first symmetry
+    check records them."""
     return LaurentPoly(f.arity, f.terms)
 
 
@@ -211,9 +216,92 @@ class TestSlicesTaken:
         assert membership(poly).member
         assert slices == []
 
-    def test_json_input_is_sliced_by_terms(self, slices):
+    def test_json_input_takes_the_orbit_route(self, slices):
         poly = euler_characteristic((1, 1, 0), (0, 0, -1))[0]
-        image = ds_eval(poly_from_dict(poly_to_dict(poly)))
-        assert slices == [(3, 2, 3)]
-        assert image == ds_eval(poly)
-        assert image._orbits is None
+        json_poly = poly_from_dict(poly_to_dict(poly))
+        assert membership(json_poly).member
+        image = ds_eval(json_poly)
+        assert slices == []
+        check_orbits(image)
+        assert dict(image._orbits) == dict(ds_eval(poly)._orbits)
+
+
+def sliced(f):
+    """The evaluation of f read from its term-by-term slice alone: the
+    witness of a t-dependent term, or the t-free part as a polynomial."""
+    tslice = f.substitute_pair(f.arity - 1, f.arity)
+    witness = tslice.t_witness()
+    if witness is not None:
+        return "not member", witness
+    return "value", LaurentPoly(f.arity - 2, tslice.constant_part())
+
+
+def sliced_power(f, k):
+    got = "value", f
+    for _ in range(k):
+        if got[0] == "value":
+            got = sliced(got[1])
+    return got
+
+
+def input_kinds(f):
+    """Fresh copies of f written from orbits, built with the constructor
+    and read from JSON; the last two have no coordinates until checked."""
+    return [lambda: f, lambda: LaurentPoly(f.arity, f.terms),
+            lambda: poly_from_dict(poly_to_dict(f))]
+
+
+class TestReadersAgainstTheSlice:
+    @settings(max_examples=150, deadline=None)
+    @given(symmetric_polys())
+    @example(_from_orbits(2, {(1, 0): 1}))
+    @example(_from_orbits(3, {(2, 1, 0): 1, (1, 1, 1): -2}))
+    @example(_from_orbits(4, {}))
+    def test_readers_match_the_slice(self, f):
+        n = f.arity
+        witness = f.substitute_pair(1, 2).t_witness()
+        for make in input_kinds(f):
+            assert membership(make()) == MembershipReport(True, witness is None, witness)
+            got = outcome(ds_eval, make())
+            assert got == sliced(f)
+            if got[0] == "value":
+                check_orbits(got[1])
+            for k in range(n // 2 + 1):
+                assert outcome(lambda p: ds_power(p, k), make()) == sliced_power(f, k)
+
+
+class TestRecordedCoordinates:
+    def test_recorded_map_is_read_only(self):
+        f = _from_orbits(3, {(1, 0, 0): 1, (1, 1, -1): 2})
+        for g in (LaurentPoly(3, f.terms), poly_from_dict(poly_to_dict(f))):
+            assert g._orbits is None
+            assert g.is_symmetric()
+            assert isinstance(g._orbits, MappingProxyType)
+            with pytest.raises(TypeError):
+                g._orbits[(1, 0, 0)] = 5
+            check_orbits(g)
+
+    def test_recording_changes_no_equality_hash_or_display(self):
+        f = _from_orbits(4, {(2, 1, 0, 0): 3, (0, 0, 0, -1): -1})
+        fresh, checked = LaurentPoly(4, f.terms), LaurentPoly(4, f.terms)
+        assert checked.is_symmetric() and checked._orbits is not None
+        assert fresh._orbits is None
+        assert checked == fresh == f
+        assert hash(checked) == hash(fresh) == hash(f)
+        assert repr(checked) == repr(fresh) == repr(f)
+        assert str(checked) == str(fresh)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_denominator_records_a_read_only_map(self, n):
+        r = denominators(n)[0]
+        assert r.is_symmetric()
+        assert denominators(n)[0] is r
+        assert isinstance(r._orbits, MappingProxyType)
+        with pytest.raises(TypeError):
+            r._orbits[(0,) * n] = 2
+        check_orbits(r)
+
+    def test_non_symmetric_values_record_nothing(self):
+        f = _from_orbits(3, {(1, 0, 0): 1}) + LaurentPoly.monomial(3, (1, 0, 0))
+        assert not f.is_symmetric()
+        assert f._orbits is None

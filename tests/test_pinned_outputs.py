@@ -9,7 +9,11 @@ reworked, and the outputs must stay bit-identical.
 
 The CLI pins hash the raw stdout bytes of one ``perisym`` process per
 command on fixed payloads; they were recorded before the Schur and
-thin-Kac combination types were merged.
+thin-Kac combination types were merged.  The JSON-input pins hash the
+stdout and exit code of ``ds``, ``member``, ``kernel-decompose`` and
+``certify`` on symmetric members, symmetric non-members, non-symmetric
+inputs and the zero polynomial; they were recorded while JSON input was
+still sliced term by term, before it took the orbit route.
 """
 
 from __future__ import annotations
@@ -30,10 +34,13 @@ from perisym import (
     ds_eval,
     lift_window,
     membership_window_basis,
+    monomial_orbit_sum,
     sch_standard,
     sch_thin_kac,
+    schur_poly,
 )
 from perisym import serialize
+from perisym.laurent import _from_orbits
 
 
 def digest(value) -> str:
@@ -195,3 +202,65 @@ def test_cli_lift_diagonal_stdout_on_every_route():
     expected = "07459a3e31835bc97babcf92e389b084fe8074c3c05a15f83fa13ce32da2c468"
     for options in ((), ("--method", "euler"), ("--method", "window")):
         assert cli_stdout_digest("lift", "--n", "4", *options, "-h", payload) == expected
+
+
+def cli_run_digest(*argv: str) -> list:
+    """``[argv, exit code, SHA-256 of the stdout bytes]`` of one
+    ``python -m perisym.cli ARGV`` process, which may fail."""
+    env = dict(os.environ, PYTHONPATH=str(Path(perisym.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-m", "perisym.cli", *argv],
+                          capture_output=True, env=env, check=False)
+    return [list(argv), proc.returncode, hashlib.sha256(proc.stdout).hexdigest()]
+
+
+def json_input_digest(polys: list[LaurentPoly]) -> str:
+    """Digest of ``ds --k 1``, ``ds --k 2``, ``member``,
+    ``kernel-decompose`` and ``certify`` on each polynomial, read from
+    JSON: every stdout and exit code."""
+    runs = []
+    for f in polys:
+        n, payload = str(f.arity), json.dumps(serialize.poly_to_dict(f))
+        for command in (("ds", "--n", n, "--k", "1"), ("ds", "--n", n, "--k", "2"),
+                        ("member",), ("kernel-decompose", "--n", n), ("certify", "--n", n)):
+            runs.append(cli_run_digest(*command, "-f", payload))
+    return digest(runs)
+
+
+def test_cli_json_symmetric_members():
+    """A member, a kernel element and a member at n = 3."""
+    polys = [sch_thin_kac((1, 0, 0, 0)) + sch_standard(4) - 2,
+             sch_thin_kac((1, 0, 0, -1)) - 2 * sch_thin_kac((2, 1, 0, 0)),
+             window_member(random.Random("pinned-json-member"), 3, 2)]
+    assert all(perisym.membership(f).member for f in polys)
+    assert json_input_digest(polys) == (
+        "8a0de24731239c0f8bdd7cfe8052021365f3c5a661a1bf438f15126a88f6392c")
+
+
+def test_cli_json_symmetric_non_members():
+    """The witness is part of the member output and of the ds error."""
+    polys = [monomial_orbit_sum(4, (1, 0, 0, 0)),
+             schur_poly((2, 1, 0, -1)),
+             sch_thin_kac((1, 0, 0, 0)) + monomial_orbit_sum(4, (2, 0, 0, -1)),
+             _from_orbits(3, {(2, 1, 0): 1, (1, 1, 1): 4})]
+    assert not any(perisym.membership(f).t_independent for f in polys)
+    assert all(f.is_symmetric() for f in polys)
+    assert json_input_digest(polys) == (
+        "0d8aefaf379a253ee1a34d3d807afea233d47c9bdcb7a91c75b713cef97ba64b")
+
+
+def test_cli_json_non_symmetric_inputs():
+    """Witnesses at the pair (1, 2), term-by-term images, and images that
+    are symmetric, a member and a non-member."""
+    x = [LaurentPoly.variable(4, i) for i in range(1, 5)]
+    polys = [window_member(random.Random("pinned-json-member"), 4, 2) + x[0],
+             x[0] * x[1] + 5,
+             x[0] * x[1] + x[0] + x[1],
+             x[0] - x[2] * x[3] ** -1]
+    assert not any(f.is_symmetric() for f in polys)
+    assert json_input_digest(polys) == (
+        "607254433d990e3b4e07254d06edb508cb04f41607a45a347109676da1a60c32")
+
+
+def test_cli_json_zero_at_five_variables():
+    assert json_input_digest([LaurentPoly.zero(5)]) == (
+        "6452bd6188aacdcd4a8dc4b4d47d877df3bbed451e1b2e629e4e93e5af1dfeda")
