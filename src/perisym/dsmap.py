@@ -84,6 +84,12 @@ def ds_eval(f: LaurentPoly) -> LaurentPoly:
     orbits = _orbit_coordinates(f)
     if orbits is not None:
         return _from_orbits(n - 2, _evaluated_orbits(orbits))
+    return _evaluated_terms(f)
+
+
+def _evaluated_terms(f: LaurentPoly) -> LaurentPoly:
+    """:func:`ds_eval` of f sliced term by term, with no symmetry check."""
+    n = f.arity
     tslice = f.substitute_pair(n - 1, n)
     _check_t_free(tslice.t_witness())
     return LaurentPoly._raw(n - 2, tslice.constant_part())
@@ -159,17 +165,21 @@ def ds_power(f: LaurentPoly, k: int) -> LaurentPoly:
     """The k-fold composition of the evaluation map, landing in arity
     n - 2k.  ``k = 0`` is the identity.  A symmetric f is evaluated k
     times on its orbit coordinates, recorded when it is written from them
-    or on its first symmetry check; only the last image is written."""
+    or on its first symmetry check; only the last image is written.  Any
+    other f is checked once and sliced term by term, and its image goes on
+    through :func:`ds_eval`."""
     n = f.arity
     if not 0 <= k <= n // 2:
         raise ArityMismatch(f"cannot apply the evaluation {k} times at arity {n}")
-    orbits = _orbit_coordinates(f) if k else None
+    if not k:
+        return f
+    orbits = _orbit_coordinates(f)
     if orbits is not None:
         for _ in range(k):
             orbits = _evaluated_orbits(orbits)
         return _from_orbits(n - 2 * k, orbits)
-    out = f
-    for _ in range(k):
+    out = _evaluated_terms(f)
+    for _ in range(k - 1):
         out = ds_eval(out)
     return out
 

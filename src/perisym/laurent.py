@@ -223,7 +223,8 @@ class LaurentPoly:
         # Each term of the larger operand is copied once per term u of the
         # smaller one, and only the coordinates where u is nonzero are
         # adjusted: none or two for the 1 - x_i x_j of R, one for each term
-        # of the x_i - x_j of the Vandermonde.  Zeros are dropped at the end.
+        # of the x_i - x_j of the Vandermonde.  A sum that reaches zero is
+        # deleted at once, so no zero is ever held.
         f, g = self.terms, other.terms
         if len(f) < len(g):
             f, g = g, f
@@ -237,8 +238,12 @@ class LaurentPoly:
                     for k, a in moved:
                         e[k] += a
                     e = tuple(e)
-                out[e] = get(e, 0) + cu * c
-        return LaurentPoly._raw(self.arity, {e: c for e, c in out.items() if c})
+                new = get(e, 0) + cu * c
+                if new:
+                    out[e] = new
+                else:
+                    del out[e]
+        return LaurentPoly._raw(self.arity, out)
 
     __rmul__ = __mul__
 

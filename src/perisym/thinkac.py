@@ -168,38 +168,13 @@ def _peel(n: int, g: dict[Weight, int]) -> dict[Weight, int]:
     return coords
 
 
-# At most this many shifted keys of a partial product are held at once.
-_SHIFT_CHUNK = 1 << 16
-
-
 @functools.cache
 def _expanded(factors: tuple[LaurentPoly, ...]) -> tuple[tuple[Weight, int], ...]:
-    """The terms of the product of nonempty ``factors``, each 1 + c x^u
-    like the 1 - x_i x_j of R, cached.  A product p is multiplied by the
-    next factor as p + c x^u p: a copy of p, shifted only where u is
-    nonzero, is added into p (:func:`intlinalg._axpy`) ``_SHIFT_CHUNK``
-    terms at a time, read from a snapshot of p.  The terms come in the
-    order of ``functools.reduce(operator.mul, factors)``: the shifted keys
-    are distinct, so a key that cancels is not written again in the same
-    step.  Chunks keep the peak memory below that product's; a whole
-    shifted copy at once raised it by a fifth at R_8 (2,135,740 terms).
-    """
-    first, *rest = factors
-    terms = dict(first.terms)
-    for factor in rest:
-        ((u, c),) = [(e, c) for e, c in factor.terms.items() if any(e)]
-        moved = [(k, a) for k, a in enumerate(u) if a]
-        keys, values = list(terms), list(terms.values())
-        for start in range(0, len(keys), _SHIFT_CHUNK):
-            stop = start + _SHIFT_CHUNK
-            shifted = {}
-            for e, v in zip(keys[start:stop], values[start:stop]):
-                e = list(e)
-                for k, a in moved:
-                    e[k] += a
-                shifted[tuple(e)] = v
-            _axpy(terms, shifted, c)
-    return tuple(terms.items())
+    """The terms of the product of nonempty ``factors``, such as the
+    1 - x_i x_j of R, multiplied out by ``LaurentPoly.__mul__``, cached.
+    The peel, :func:`_thin_kac_plus`, ``euler._tail_table`` and the tests
+    read them as a tuple of (exponents, coefficient) pairs."""
+    return tuple(functools.reduce(operator.mul, factors).terms.items())
 
 
 _brauer_klimyk_cache: dict[Weight, Mapping[Weight, int]] = {}

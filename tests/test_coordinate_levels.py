@@ -5,9 +5,10 @@
 - Each round of the Euler lift evaluates its own part, never the lift
   accumulated over earlier rounds.
 - R multiplied out one factor at a time gives the terms of
-  ``denominators(n)[0]`` in their order.
+  ``denominators(n)[0]`` in their order, and those of a term-pair fold.
 """
 
+import functools
 import heapq
 import operator
 import random
@@ -24,6 +25,7 @@ from perisym.laurent import _from_orbits
 from perisym.schur import _schur_coefficients, denominator_factors
 from perisym.thinkac import (_brauer_klimyk, _expanded, _parity_signed, _peel,
                              _thin_kac_coordinates, thin_kac_combination)
+from test_laurent import reference_product
 
 
 
@@ -159,7 +161,15 @@ class TestLiftRounds:
 
 @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
 def test_expanded_matches_the_product_in_order(n):
-    # R_7 has 111,850 terms, so its last steps add the shifted copy in
-    # several chunks.
+    # R_7 has 111,850 terms, so its last factors multiply a product of
+    # tens of thousands of terms.
     terms = _expanded(denominator_factors(n)[0])
     assert terms == tuple(denominators(n)[0].terms.items())
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+def test_expanded_matches_a_term_pair_fold(n):
+    # A term-pair fold inserts its keys in another order, so the terms are
+    # compared as maps.
+    expected = functools.reduce(reference_product, denominator_factors(n)[0])
+    assert dict(_expanded(denominator_factors(n)[0])) == expected.terms

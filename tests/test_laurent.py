@@ -347,6 +347,9 @@ class TestProductAgainstTermPairs:
     @given(st.integers(0, 4).flatmap(lambda n: st.tuples(*[st.dictionaries(
         st.tuples(*[st.integers(-3, 3)] * n), st.integers(-5, 5), max_size=7)] * 2,
         st.just(n))))
+    # (1 + x1 + x1^2)(1 - x1 + x1^2) = 1 + x1^2 + x1^4: the sum at x1^2
+    # reaches zero on the second term of g and is written again on the third.
+    @example(({(0,): 1, (1,): 1, (2,): 1}, {(0,): 1, (1,): -1, (2,): 1}, 1))
     def test_any_operands(self, case):
         f_terms, g_terms, n = case
         f, g = LaurentPoly(n, f_terms), LaurentPoly(n, g_terms)

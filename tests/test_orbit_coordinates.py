@@ -15,6 +15,7 @@ from perisym import (LaurentPoly, MembershipReport, NotMember, SchurExpansion, d
                      ds_power, euler_characteristic, euler_lift_element, membership,
                      membership_window_basis, monomial_orbit_sum, orbit_sum_combination,
                      schur_poly, sch_thin_kac)
+from perisym import dsmap, laurent
 from perisym.laurent import _from_orbits, _read_only
 from perisym.schur import _schur_coefficients, denominators
 from perisym.serialize import poly_from_dict, poly_to_dict
@@ -305,3 +306,21 @@ class TestRecordedCoordinates:
         f = _from_orbits(3, {(1, 0, 0): 1}) + LaurentPoly.monomial(3, (1, 0, 0))
         assert not f.is_symmetric()
         assert f._orbits is None
+
+
+class TestSymmetryChecks:
+    def test_non_symmetric_power_checks_its_input_once(self, monkeypatch):
+        # x1 x2 + x3 x4 is not symmetric; its image x1 x2 + 1 is, and
+        # evaluates to 2.
+        g = LaurentPoly(4, {(1, 1, 0, 0): 1, (0, 0, 1, 1): 1})
+        checked = []
+        original = laurent._orbit_coordinates
+
+        def spy(f):
+            checked.append(f)
+            return original(f)
+
+        monkeypatch.setattr(laurent, "_orbit_coordinates", spy)
+        monkeypatch.setattr(dsmap, "_orbit_coordinates", spy)
+        assert ds_power(g, 2) == LaurentPoly.constant(0, 2)
+        assert sum(f is g for f in checked) == 1
