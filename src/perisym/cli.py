@@ -248,6 +248,11 @@ def verify_suite(ctx, criteria, as_json):
 
 
 def main(argv=None) -> int:
+    # Coefficients are decimal strings of any length: lift Python's cap on
+    # int <-> str conversion (absent in older 3.10 builds) for this call.
+    limit = sys.get_int_max_str_digits() if hasattr(sys, "set_int_max_str_digits") else None
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
         # Without standalone mode, click returns the code of a ctx.exit
         # instead of raising it; the commands themselves return None.
@@ -258,6 +263,9 @@ def main(argv=None) -> int:
     except PerisymError as exc:
         _emit({"error": type(exc).__name__, "message": str(exc)})
         return 2
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
     return code or 0
 
 

@@ -15,10 +15,12 @@ divided by a_rho.  Its Schur coordinates are found by one of two routes.
   product is C * R_m over the m = n - b tail variables, with
   C = prod_{i <= b < j} (1 - x_i x_j) factored by the dual Cauchy
   identity.  The coordinates are then read from small tables cached by
-  translation class, and no polynomial is multiplied (see
-  :func:`_factorized`).  b = 0 is the Brauer-Klimyk table of R s_mu.
-* Every other gamma expands the product and straightens every monomial
-  to a signed Schur contribution.
+  translation class, each one Schur product (``schur._product``), and no
+  polynomial is multiplied (see :func:`_factorized`).  b = 0 is the
+  Brauer-Klimyk table of R s_mu.
+* Every other gamma expands the product and takes its Schur product with
+  s_0 = 1, which straightens every monomial to a signed Schur
+  contribution.
 
 The result is symmetric, and supersymmetric when gamma is weakly
 decreasing.
@@ -44,8 +46,8 @@ from typing import Iterable, Mapping
 from .errors import ArityMismatch, LeviIncompatible, LiftStalled
 from .intlinalg import _axpy
 from .laurent import LaurentPoly, straighten_alternant
-from .schur import (SchurExpansion, _alternant_coefficients, _from_schur, _schur_coefficients,
-                    _straightened, denominator_factors, schur_poly)
+from .schur import (SchurExpansion, _alternant_coefficients, _from_schur, _product,
+                    _schur_coefficients, _straightened, denominator_factors, schur_poly)
 from .thinkac import _brauer_klimyk, _expanded, _peel
 from .weights import Weight, check_dominant, rho
 from .dsmap import _check_member, _nonzero_chain, ds_eval, ds_power
@@ -203,10 +205,9 @@ _tail_cache: dict[tuple[Weight, Weight], Mapping[Weight, int]] = {}
 
 def _tail_table(kappa: Weight, mu: Weight) -> Mapping[Weight, int]:
     """The nonzero Schur coefficients of s_kappa s_mu R_m for partitions
-    kappa and mu of length m, mu with least entry 0, from two
-    Brauer-Klimyk passes: the table of R_m s_mu
-    (:func:`thinkac._brauer_klimyk`), then the terms of s_kappa
-    straightened onto nu + rho_m for each of its weights nu.  No
+    kappa and mu of length m, mu with least entry 0: the product of the
+    terms of s_kappa with the table of R_m s_mu
+    (:func:`schur._product`, :func:`thinkac._brauer_klimyk`).  No
     polynomial is multiplied.  Every key is a translation-class
     representative, so this cache and the Brauer-Klimyk cache under it
     stay bounded however lam is shifted.  Cached by (kappa, mu),
@@ -215,12 +216,7 @@ def _tail_table(kappa: Weight, mu: Weight) -> Mapping[Weight, int]:
     if table is None:
         m = len(mu)
         r_terms = _expanded(denominator_factors(m)[0]) if m > 1 else (((0,) * m, 1),)
-        staircase = rho(m)
-        products = [(tuple(map(operator.add, nu, staircase)), d)
-                    for nu, d in _brauer_klimyk(mu, r_terms).items()]
-        coeffs = _straightened((map(operator.add, shifted, t), d * c)
-                               for t, c in schur_poly(kappa).terms.items()
-                               for shifted, d in products)
+        coeffs = _product(schur_poly(kappa).terms.items(), _brauer_klimyk(mu, r_terms))
         table = _tail_cache[kappa, mu] = MappingProxyType(coeffs)
     return table
 

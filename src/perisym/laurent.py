@@ -573,19 +573,25 @@ def straighten_alternant(nu: Iterable[int]) -> tuple[int, tuple[int, ...]] | Non
 
 @functools.cache
 def permutations_with_signs(n: int) -> tuple[tuple[tuple[int, ...], int], ...]:
-    """All permutations of 0..n-1 as index tuples, with their signatures.
+    """All permutations of 0..n-1 as index tuples, with their signatures
+    (:func:`_cycle_sign`), computed once per n as an immutable tuple."""
+    return tuple((perm, _cycle_sign(perm)) for perm in itertools.permutations(range(n)))
 
-    Computed once per n; the result is an immutable tuple.
-    """
-    out = []
-    for perm in itertools.permutations(range(n)):
-        sign = 1
-        for a in range(n):
-            for b in range(a + 1, n):
-                if perm[a] > perm[b]:
-                    sign = -sign
-        out.append((perm, sign))
-    return tuple(out)
+
+def _cycle_sign(perm: tuple[int, ...]) -> int:
+    """The signature of a permutation of 0..n-1 given as an index tuple:
+    -1 to the number of its entries minus the number of its cycles."""
+    sign = 1
+    seen = [False] * len(perm)
+    for start in range(len(perm)):
+        if not seen[start]:
+            seen[start] = True
+            at = perm[start]
+            while at != start:
+                seen[at] = True
+                at = perm[at]
+                sign = -sign
+    return sign
 
 
 # Arities up to this one read permutation signs and orbit arrangements
@@ -602,19 +608,7 @@ def _sign_table(n: int) -> dict[tuple[int, ...], int]:
 def _permutation_sign(perm: tuple[int, ...]) -> int:
     """The signature of a permutation of 0..n-1 given as an index tuple."""
     n = len(perm)
-    if n <= _TABLE_ARITY:
-        return _sign_table(n)[perm]
-    sign = 1
-    seen = [False] * n
-    for start in range(n):
-        if not seen[start]:
-            seen[start] = True
-            at = perm[start]
-            while at != start:
-                seen[at] = True
-                at = perm[at]
-                sign = -sign
-    return sign
+    return _sign_table(n)[perm] if n <= _TABLE_ARITY else _cycle_sign(perm)
 
 
 @functools.cache

@@ -13,12 +13,12 @@ life of the process; it is never evicted.
 all its weights are added into one table of dominant coefficients, and
 only the nonzero entries of that sum are copied to their permutations,
 so no s_lam is built on the way.  ``schur_poly`` is the one-weight case.
-``schur_expand`` inverts this by straightening: for symmetric q,
-q * a_rho is the antisymmetrization of x^rho * q, so every term of q
-contributes one signed alternant a_{lam + rho} and no Schur polynomial is
-built.  A symmetric q is a sum of orbit sums, so the expansion reads
-the orbit coordinates of q and adds the expansion of each orbit sum
-(``_schur_coefficients``), which is straightened once per process.
+Every Schur-coordinate table in the package is one product, P times a
+Schur combination, straightened by the Brauer-Klimyk rule (``_product``)
+with no Schur polynomial built.  ``schur_expand`` inverts ``to_poly`` with
+it: a symmetric q is a sum of orbit sums, so the expansion adds, by q's
+orbit coordinates, the product of each orbit sum with s_0 = 1
+(``_schur_coefficients``), computed once per process.
 ``alternant`` and ``denominators`` give the pieces of the bialternant
 formula s_lam = a_{lam + rho} / a_rho, which other modules and the
 checks in ``verify`` use.
@@ -265,40 +265,40 @@ def _straightened(alternants: Iterable[tuple[Iterable[int], int]]) -> dict[Weigh
     return {lam: c for lam, c in coeffs.items() if c}
 
 
+def _product(terms: Iterable[tuple[Weight, int]],
+             coeffs: Mapping[Weight, int]) -> dict[Weight, int]:
+    """The nonzero Schur coefficients of P * sum_lam d_lam s_lam, where
+    ``terms`` are the (beta, c) pairs of P = sum c x^beta: by the
+    Brauer-Klimyk rule x^beta s_lam = a_{lam + rho + beta} / a_rho, each
+    term and weight give c * d_lam a_{lam + rho + beta}, straightened
+    (:func:`_straightened`) term by term, and by weight within a term."""
+    shifted = [(tuple(map(operator.add, lam, rho(len(lam)))), d) for lam, d in coeffs.items()]
+    return _straightened((map(operator.add, nu, beta), c * d)
+                         for beta, c in terms for nu, d in shifted)
+
+
 def _alternant_coefficients(f: LaurentPoly) -> dict[Weight, int]:
     """The c_lam with A(x^rho * f) = sum_lam c_lam a_{lam + rho}, where A
-    antisymmetrizes: each term c x^e contributes c a_{e + rho}, so this is
-    one straightening pass over the terms, in time linear in their
-    number.  Only nonzero c_lam are returned.
-    """
-    staircase = rho(f.arity)
-    return _straightened((map(operator.add, exps, staircase), coef)
-                         for exps, coef in f.terms.items())
+    antisymmetrizes: the product of f's terms with s_0 = 1
+    (:func:`_product`), in time linear in their number."""
+    return _product(f.terms.items(), {(0,) * f.arity: 1})
 
 
-_orbit_schur_cache: dict[Weight, Mapping[Weight, int]] = {}
-
-
+@functools.cache
 def _orbit_schur(nu: Weight) -> Mapping[Weight, int]:
-    """The nonzero Schur coefficients of the orbit sum m_nu: the signed
-    straightening of w + rho over the distinct arrangements w of nu
-    (:func:`laurent._arrangements`).  Multiplying by (x_1...x_n)^c adds
-    c to every weight, so only a nu with least entry 0 is straightened;
-    any other copies the table of its translate.  Cached by nu,
-    read-only."""
-    table = _orbit_schur_cache.get(nu)
-    if table is None:
-        low = min(nu, default=0)
-        if low:
-            shift = (low,) * len(nu)
-            coeffs = {tuple(map(operator.add, lam, shift)): c for lam, c in
-                      _orbit_schur(tuple(e - low for e in nu)).items()}
-        else:
-            staircase = rho(len(nu))
-            coeffs = _straightened((map(operator.add, w, staircase), 1)
-                                   for w in _arrangements(nu))
-        table = _orbit_schur_cache[nu] = MappingProxyType(coeffs)
-    return table
+    """The nonzero Schur coefficients of the orbit sum m_nu: the product
+    of the distinct arrangements of nu (:func:`laurent._arrangements`)
+    with s_0 = 1 (:func:`_product`).  Multiplying by (x_1...x_n)^c adds c
+    to every weight, so only a nu with least entry 0 is straightened; any
+    other copies the table of its translate.  Cached by nu, read-only."""
+    low = min(nu, default=0)
+    if low:
+        shift = (low,) * len(nu)
+        coeffs = {tuple(map(operator.add, lam, shift)): c for lam, c in
+                  _orbit_schur(tuple(e - low for e in nu)).items()}
+    else:
+        coeffs = _product(zip(_arrangements(nu), itertools.repeat(1)), {(0,) * len(nu): 1})
+    return MappingProxyType(coeffs)
 
 
 def _schur_coefficients(f: LaurentPoly) -> dict[Weight, int]:

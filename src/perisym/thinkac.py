@@ -9,10 +9,11 @@ reproduces multiplication by the supercharacter of the standard module.
 
 :func:`thin_kac_combination` and its inverse :func:`_thin_kac_coordinates`
 are the two directions of the change of basis to polynomials.  Both read
-the cached Brauer-Klimyk expansions of R * s_lam in Schur coordinates
-(:func:`_brauer_klimyk`), and neither multiplies nor divides by R: the
-first sums the tables of its weights and writes the sum once; the second
-peels the Schur coefficients of its input by them, one weight at a time.
+the cached Schur coordinates of R * s_lam (:func:`_brauer_klimyk`, the
+product of R's terms with s_lam), and neither multiplies nor divides by
+R: the first sums the tables of its weights and writes the sum once; the
+second peels the Schur coefficients of its input by them, one weight at
+a time.
 The first is the zero-base case of :func:`_thin_kac_plus`, which adds
 the tables to the Schur coefficients of a symmetric base, such as a
 certificate level's lift, before writing anything.  The peel itself
@@ -32,9 +33,9 @@ from typing import Iterable, Mapping
 from .errors import NotDivisible, NotSymmetric
 from .intlinalg import _axpy
 from .laurent import LaurentPoly, _from_orbits, _read_only
-from .schur import (SchurExpansion, _WeightCombination, _from_schur, _schur_coefficients,
-                    _straightened, denominator_factors)
-from .weights import Weight, check_dominant, from_diagram, parity, rho, to_diagram
+from .schur import (SchurExpansion, _WeightCombination, _from_schur, _product,
+                    _schur_coefficients, denominator_factors)
+from .weights import Weight, check_dominant, from_diagram, parity, to_diagram
 
 
 class KClass(_WeightCombination):
@@ -182,15 +183,11 @@ _brauer_klimyk_cache: dict[Weight, Mapping[Weight, int]] = {}
 
 def _brauer_klimyk(lam: Weight, r_terms: tuple[tuple[Weight, int], ...]) -> Mapping[Weight, int]:
     """The nonzero Schur coefficients of R s_lam, where ``r_terms`` are
-    the terms R_beta x^beta of R: by the Brauer-Klimyk rule,
-    R s_lam = sum_beta R_beta a_{lam + rho + beta} / a_rho, straightened.
-    Cached by lam, read-only."""
+    the terms R_beta x^beta of R: the product of those terms with s_lam
+    (:func:`schur._product`).  Cached by lam, read-only."""
     table = _brauer_klimyk_cache.get(lam)
     if table is None:
-        shifted = tuple(map(operator.add, lam, rho(len(lam))))
-        coeffs = _straightened((map(operator.add, shifted, beta), coef)
-                               for beta, coef in r_terms)
-        table = _brauer_klimyk_cache[lam] = MappingProxyType(coeffs)
+        table = _brauer_klimyk_cache[lam] = MappingProxyType(_product(r_terms, {lam: 1}))
     return table
 
 

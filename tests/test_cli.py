@@ -1,5 +1,6 @@
 import json
 import re
+import sys
 
 import pytest
 
@@ -375,3 +376,32 @@ class TestWindowCap:
         assert code == 1
         assert captured.out == ""
         assert "PERISYM_MAX_WINDOW" in captured.err and "Traceback" not in captured.err
+
+
+class TestLongCoefficients:
+    """Coefficients past Python's default 4,300-digit cap on int <-> str
+    conversion are read and printed exactly by the CLI, and an in-process
+    caller keeps its own cap.  No int above the cap is converted here: the
+    payloads and the expected output are written as strings."""
+
+    def test_theta_prints_a_coefficient_past_the_cap(self, capsys):
+        nines = "9" * 4300  # c; the output coefficient is -2c, 4,301 digits
+        payload = json.dumps({"n": 2, "basis": "thinkac", "coeffs": [
+            {"weight": [-1, -1], "coef": nines}, {"weight": [-2, -2], "coef": nines}]})
+        limit = sys.get_int_max_str_digits() if hasattr(sys, "get_int_max_str_digits") else None
+        code, data = run_json(capsys, "theta", "--k", "-1", "-f", payload)
+        assert code == 0
+        assert data["coeffs"] == [{"weight": [-1, -2], "coef": "-1" + "9" * 4299 + "8"}]
+        if limit is not None:
+            assert sys.get_int_max_str_digits() == limit
+
+    def test_member_and_ds_read_a_six_thousand_digit_coefficient(self, capsys):
+        coef = "7" * 6000
+        payload = json.dumps({"n": 2, "terms": [{"exp": [1, 0], "coef": coef},
+                                                {"exp": [0, 1], "coef": coef}]})
+        code, data = run_json(capsys, "member", "-f", payload)
+        assert code == 0
+        assert data["symmetric"] is True and data["member"] is False
+        code, data = run_json(capsys, "ds", "--n", "2", "--k", "0", "-f", payload)
+        assert code == 0
+        assert data == json.loads(payload)
